@@ -22,6 +22,7 @@ from .errors import DegenerateError, MatrixShapeError, ParameterError
 from .matcore import (
     as_square_matrix,
     cartesian_decompose,
+    eigenvalues_2x2,
     invariants_close,
     operator_norm,
     similarity_invariants_2x2,
@@ -75,13 +76,6 @@ class RecoveredForm(NamedTuple):
 
     r: float
     theta: float
-
-
-def _eigenvalues_2x2(a: np.ndarray) -> tuple[complex, complex]:
-    half = (a[0, 0] + a[1, 1]) / 2.0
-    disc = np.sqrt(complex(half * half - (a[0, 0] * a[1, 1]
-                                          - a[0, 1] * a[1, 0])))
-    return complex(half - disc), complex(half + disc)
 
 
 def canonical_family_test(a, alpha) -> RecoveredForm | None:
@@ -143,7 +137,7 @@ def canonical_family_test(a, alpha) -> RecoveredForm | None:
 
 def _recover_form(a0: np.ndarray, alpha: float) -> RecoveredForm | None:
     """(r, theta) from the eigenvalues of the normalized matrix."""
-    lam1, lam2 = _eigenvalues_2x2(a0)
+    lam1, lam2 = eigenvalues_2x2(a0)
     lam = lam1 if abs(lam1) >= abs(lam2) else lam2
     r = abs(lam)
     theta = abs(math.atan2(lam.imag, lam.real))

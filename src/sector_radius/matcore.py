@@ -30,8 +30,8 @@ def as_square_matrix(a, name: str = "matrix") -> np.ndarray:
 
 
 def matrix_scale(t: np.ndarray) -> float:
-    """Scale used for relative tolerances: max(1, Frobenius norm)."""
-    return max(1.0, float(np.linalg.norm(t)))
+    """Scale used for relative tolerances: the Frobenius norm."""
+    return float(np.linalg.norm(t))
 
 
 class CartesianPair(NamedTuple):
@@ -112,27 +112,59 @@ def top_right_singular_vectors(t, rel_gap: float = 1e-10):
 def commutant_dimension(t) -> int:
     """Dimension of {X : XH = HX and XG = GX} for T = H + iG.
 
-    The value is 1 exactly when T is unitarily irreducible.  The joint
-    commutation equations are stacked into one linear operator on vec(X)
-    and the dimension is its nullity; singular values below
-    ``RANK_RTOL * sigma_max`` count as zero.
+    The value is 1 exactly when T is unitarily irreducible.  Such an X
+    commutes with A = H + cG (c irrational), so in an eigenbasis U of A it
+    is block diagonal over the clusters of A's eigenvalues (neighbours
+    within ``COMMUTANT_CLUSTER_RTOL * scale``) and constant on each
+    connected set of simple eigenvalues, two eigenvalues being linked by
+    their entry of U*HU or U*GU above ``COMMUTANT_RTOL * n * scale`` plus
+    the rounding their eigenvectors carry (Davis-Kahan: backward error over
+    the gap to the nearest other cluster).  Each such set adds 1; a set
+    with a repeated cluster adds the nullity of its own commutation system,
+    whose singular values up to ``COMMUTANT_RTOL * n * scale`` are zero.
     """
     t = as_square_matrix(t)
     n = t.shape[0]
     h, g = cartesian_decompose(t)
-    eye = np.eye(n)
-    rows = [
-        np.kron(eye, h) - np.kron(h.T, eye),
-        np.kron(eye, g) - np.kron(g.T, eye),
-    ]
-    stacked = np.vstack(rows)
-    sv = np.linalg.svd(stacked, compute_uv=False)
-    smax = sv[0] if sv.size else 0.0
-    if smax == 0.0:
-        rank = 0
-    else:
-        rank = int(np.sum(sv > tol.RANK_RTOL * smax))
-    return n * n - rank
+    scale = matrix_scale(t)
+    w, u = np.linalg.eigh(h + 0.6180339887498949 * g)
+    hu, gu = (u.conj().T @ x @ u for x in (h, g))
+    cluster = np.cumsum(
+        np.r_[0, np.diff(w) > tol.COMMUTANT_CLUSTER_RTOL * scale])
+    same = cluster[:, None] == cluster[None, :]
+    gap = np.where(same, np.inf, np.abs(w[:, None] - w[None, :]))
+    err = n * np.finfo(float).eps * scale * scale
+    cut = tol.COMMUTANT_RTOL * n * scale
+    leak = err / gap.min(axis=1)
+    adj = same | (np.maximum(np.abs(hu), np.abs(gu))
+                  > cut + leak[:, None] + leak[None, :])
+    label = np.arange(n)  # lowest index reached: one label per component
+    while True:
+        prev, label = label, np.where(adj, label, n).min(axis=1)
+        if (label == prev).all():
+            break
+    dim = 0
+    for root in np.flatnonzero(label == np.arange(n)):
+        comp = label == root
+        if np.bincount(cluster)[cluster[comp]].max() == 1:
+            dim += 1
+            continue
+        m = int(comp.sum())
+        eye = np.eye(m)
+        stacked = np.vstack([np.kron(eye, x[np.ix_(comp, comp)])
+                             - np.kron(x[np.ix_(comp, comp)].T, eye)
+                             for x in (hu, gu)])
+        sv = np.linalg.svd(stacked, compute_uv=False)
+        dim += m * m - int(np.sum(sv > cut))
+    return dim
+
+
+def eigenvalues_2x2(a: np.ndarray) -> tuple[complex, complex]:
+    """Eigenvalues (tr/2 - disc, tr/2 + disc) of a 2x2 matrix, closed form."""
+    half = (a[0, 0] + a[1, 1]) / 2.0
+    disc = np.sqrt(complex(half * half - (a[0, 0] * a[1, 1]
+                                          - a[0, 1] * a[1, 0])))
+    return complex(half - disc), complex(half + disc)
 
 
 class SimilarityInvariants2x2(NamedTuple):

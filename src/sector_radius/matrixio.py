@@ -8,11 +8,12 @@ significant digits, which round-trips float64 exactly.
 from __future__ import annotations
 
 import json
+import math
 import sys
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import SectorRadiusError, UsageError
 from .matcore import as_square_matrix
 
 
@@ -21,7 +22,10 @@ def format_real(x) -> str:
 
 
 def to_json(value) -> str:
-    """Serialize nested dicts/lists/scalars with 17-significant-digit reals."""
+    """Serialize nested dicts/lists/scalars with 17-significant-digit reals.
+
+    A nan or inf (an overflowed result) has no JSON form and raises.
+    """
     if value is None:
         return "null"
     if isinstance(value, bool):
@@ -29,6 +33,9 @@ def to_json(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
+        if not math.isfinite(value):
+            raise SectorRadiusError(
+                f"result {value} is not finite (the computation overflowed)")
         return format_real(value)
     if isinstance(value, (complex, np.complexfloating)):
         return to_json([value.real, value.imag])
@@ -61,7 +68,7 @@ def parse_matrix_document(text: str) -> np.ndarray:
     if "n" not in doc or "entries" not in doc:
         raise UsageError('matrix document needs keys "n" and "entries"')
     n = doc["n"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:  # bool is an int subclass
         raise UsageError(f'"n" must be a positive integer, got {n!r}')
     entries = doc["entries"]
     if not isinstance(entries, list) or len(entries) != n:
@@ -72,7 +79,7 @@ def parse_matrix_document(text: str) -> np.ndarray:
             raise UsageError(f"row {i} must be a list of {n} [re, im] pairs")
         for j, pair in enumerate(row):
             if (not isinstance(pair, list) or len(pair) != 2
-                    or not all(isinstance(v, (int, float)) for v in pair)):
+                    or not all(type(v) in (int, float) for v in pair)):
                 raise UsageError(
                     f"entry ({i}, {j}) must be a [re, im] pair of reals")
             out[i, j] = complex(float(pair[0]), float(pair[1]))

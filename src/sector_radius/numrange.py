@@ -23,7 +23,8 @@ import numpy as np
 
 from . import tolerances as tol
 from .errors import MatrixShapeError, ParameterError
-from .matcore import as_square_matrix, cartesian_decompose, hermitian_spectrum
+from .matcore import (as_square_matrix, cartesian_decompose, eigenvalues_2x2,
+                      hermitian_spectrum)
 
 HALF_PI = math.pi / 2.0
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -213,12 +214,7 @@ def ellipse_2x2(a) -> EllipseDescriptor:
     a = as_square_matrix(a)
     if a.shape != (2, 2):
         raise MatrixShapeError(f"expected a 2x2 matrix, got {a.shape}")
-    trace = a[0, 0] + a[1, 1]
-    det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    half = trace / 2.0
-    disc = np.sqrt(complex(half * half - det))
-    lam = sorted([complex(half - disc), complex(half + disc)],
-                 key=lambda z: (z.real, z.imag))
+    lam = sorted(eigenvalues_2x2(a), key=lambda z: (z.real, z.imag))
     fro2 = float(np.sum(np.abs(a) ** 2))
     radicand = fro2 - abs(lam[0]) ** 2 - abs(lam[1]) ** 2
     if radicand < 0.0:

@@ -10,20 +10,17 @@ import os
 
 from .errors import UsageError
 
-# Hermitian / reconstruction checks (relative to matrix scale).
+# Hermitian check (relative to the matrix scale).
 HERMITIAN_RTOL = 1e-12
-RECONSTRUCTION_RTOL = 1e-12
-
-# Eigenpair residual requirement for the Hermitian eigensolver.
-EIG_RESIDUAL_RTOL = 1e-10
 
 # Positive-semidefiniteness: lambda_min >= -PSD_RTOL * ||T||.  Extremal
 # matrices touch the cone boundary exactly, so a strict zero test would flap.
 PSD_RTOL = 1e-10
 
-# Rank decisions (commutant computation): singular values below
-# RANK_RTOL * sigma_max count as zero.
-RANK_RTOL = 1e-9
+# Commutant dimension: eigenvalue cluster width and zero cut (times n),
+# both relative to the matrix scale.
+COMMUTANT_CLUSTER_RTOL = 1e-7
+COMMUTANT_RTOL = 1e-13
 
 # Numerical radius maximization.
 RADIUS_GRID_POINTS = 1024

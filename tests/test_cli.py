@@ -72,6 +72,27 @@ def test_malformed_json_exit_two(capsys, monkeypatch):
     assert "malformed JSON" in err
 
 
+def test_overflowing_result_exit_one(capsys, monkeypatch):
+    # finite entries whose Hermitian part overflows: w is nan, which has no
+    # JSON form, so the command fails instead of printing it
+    big = '[1e308, 0]'
+    doc = f'{{"n": 2, "entries": [[{big}, {big}], [{big}, {big}]]}}'
+    code, out, err = run_cli(capsys, ["radius", "--in", "-"], stdin=doc,
+                             monkeypatch=monkeypatch)
+    assert code == 1
+    assert out == ""
+    assert "not finite" in err
+
+
+def test_boolean_entries_exit_two(capsys, monkeypatch):
+    code, out, err = run_cli(capsys, ["radius", "--in", "-"],
+                             stdin='{"n": 1, "entries": [[[true, false]]]}',
+                             monkeypatch=monkeypatch)
+    assert code == 2
+    assert out == ""
+    assert "pair of reals" in err
+
+
 def test_bad_document_exit_two(capsys, monkeypatch):
     code, _, err = run_cli(capsys, ["radius", "--in", "-"],
                            stdin='{"n": 2, "entries": [[[0, 0]]]}',
@@ -230,3 +251,15 @@ def test_matrix_document_round_trip_exact():
 def test_json_17_digit_format():
     assert to_json(1.0 / 3.0) == "0.33333333333333331"
     assert to_json({"a": True, "b": None}) == '{"a": true, "b": null}'
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                 complex(1.0, math.nan), np.float64(np.inf)])
+def test_json_refuses_non_finite(bad):
+    with pytest.raises(sr.SectorRadiusError, match="not finite"):
+        to_json({"w": bad})
+
+
+def test_document_rejects_boolean_size():
+    with pytest.raises(sr.UsageError, match='"n"'):
+        parse_matrix_document('{"n": true, "entries": [[[1, 0]]]}')

@@ -237,6 +237,11 @@ class TestIrreducibleFamily:
         assert np.linalg.eigvalsh(h)[0] >= -1e-8
         assert sr.commutant_dimension(t) == 1
 
+    def test_n12_builds_at_the_first_epsilon(self):
+        t, eps = sr.irreducible_family(12, 0.05)
+        assert eps == 0.1
+        assert sr.commutant_dimension(t) == 1
+
     def test_adjoint_eigen_relations(self):
         n, d = 5, 0.05
         t, eps = sr.irreducible_family(n, d)

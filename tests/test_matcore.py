@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sector_radius as sr
 
@@ -98,6 +99,11 @@ class TestHermitianSpectrum:
         with pytest.raises(sr.MatrixShapeError):
             sr.hermitian_spectrum([[0, 1], [0, 0]])
 
+    def test_rejects_non_hermitian_at_tiny_scale(self):
+        # the tolerance is relative to the matrix's own scale, with no floor
+        with pytest.raises(sr.MatrixShapeError):
+            sr.hermitian_spectrum(1e-20 * np.array([[0, 1], [0, 0]]))
+
 
 class TestOperatorNorm:
     def test_rank_one(self):
@@ -161,6 +167,137 @@ class TestCommutantDimension:
     def test_block_diagonal_is_reducible(self):
         t = np.diag([1.0 + 1j, 2.0 - 0.5j])
         assert sr.commutant_dimension(t) >= 2
+
+
+def kronecker_nullity(t):
+    """Reference commutant dimension for small n: nullity of the stacked
+    2n^2 x n^2 system X -> (XH - HX, XG - GX), with singular values up to
+    1e-9 * ||T||_F counted as zero.  Costs O(n^6); used for n <= 8.
+
+    The cut is relative to T, not to the system's largest singular value:
+    for a conjugated scalar matrix every singular value is rounding noise,
+    which a cut relative to sigma_max would count as rank."""
+    t = np.asarray(t, dtype=np.complex128)
+    n = t.shape[0]
+    h, g = sr.cartesian_decompose(t)
+    eye = np.eye(n)
+    stacked = np.vstack([np.kron(eye, x) - np.kron(x.T, eye) for x in (h, g)])
+    sv = np.linalg.svd(stacked, compute_uv=False)
+    return n * n - int(np.sum(sv > 1e-9 * np.linalg.norm(t)))
+
+
+def block_diagonal(blocks):
+    n = sum(b.shape[0] for b in blocks)
+    t = np.zeros((n, n), dtype=np.complex128)
+    k = 0
+    for b in blocks:
+        m = b.shape[0]
+        t[k:k + m, k:k + m] = b
+        k += m
+    return t
+
+
+def philox(seed):
+    return np.random.default_rng(np.random.Philox(seed))
+
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
+SEEDS = st.integers(0, 2 ** 32 - 1)
+BLOCK_SIZES = st.lists(st.integers(1, 4), min_size=1, max_size=4).filter(
+    lambda sizes: sum(sizes) <= 8)
+
+
+def conjugated_sum(seed, sizes):
+    """U* (B_1 + ... + B_k) U with Gaussian blocks: dimension len(sizes)."""
+    rng = philox(seed)
+    t = block_diagonal([complex_gaussian((m, m), rng) for m in sizes])
+    u = random_unitary(t.shape[0], rng)
+    return u.conj().T @ t @ u
+
+
+def repeated_block(seed, m, copies):
+    """U* (B + ... + B) U: the commutant is I_m (x) M_copies, of dimension
+    copies^2."""
+    rng = philox(seed)
+    b = complex_gaussian((m, m), rng)
+    u = random_unitary(m * copies, rng)
+    return u.conj().T @ block_diagonal([b] * copies) @ u
+
+
+def normal_repeated(seed, multiplicities):
+    """Normal matrix with eigenvalue k repeated multiplicities[k] times:
+    dimension sum(m^2)."""
+    rng = philox(seed)
+    values = complex_gaussian(len(multiplicities), rng)
+    diag = np.repeat(values, multiplicities)
+    u = random_unitary(len(diag), rng)
+    return u.conj().T @ np.diag(diag) @ u
+
+
+class TestCommutantAgainstKronecker:
+    """commutant_dimension equals the Kronecker nullity for n <= 8."""
+
+    @PROPERTY
+    @given(SEEDS, st.integers(1, 8))
+    def test_gaussian(self, seed, n):
+        t = complex_gaussian((n, n), philox(seed))
+        assert sr.commutant_dimension(t) == kronecker_nullity(t)
+
+    @PROPERTY
+    @given(SEEDS, BLOCK_SIZES)
+    def test_conjugated_direct_sum(self, seed, sizes):
+        t = conjugated_sum(seed, sizes)
+        assert sr.commutant_dimension(t) == kronecker_nullity(t) == len(sizes)
+
+    @PROPERTY
+    @given(SEEDS, st.sampled_from([(1, 2), (2, 2), (3, 2), (4, 2),
+                                   (1, 3), (2, 3)]))
+    def test_repeated_blocks(self, seed, shape):
+        m, copies = shape
+        t = repeated_block(seed, m, copies)
+        assert (sr.commutant_dimension(t) == kronecker_nullity(t)
+                == copies * copies)
+
+    @PROPERTY
+    @given(SEEDS, BLOCK_SIZES)
+    def test_normal_with_repeated_eigenvalues(self, seed, multiplicities):
+        t = normal_repeated(seed, multiplicities)
+        expected = sum(m * m for m in multiplicities)
+        assert sr.commutant_dimension(t) == kronecker_nullity(t) == expected
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_zero_and_identity(self, n):
+        for t in (np.zeros((n, n)), np.eye(n)):
+            assert sr.commutant_dimension(t) == kronecker_nullity(t) == n * n
+
+    @PROPERTY
+    @given(SEEDS, st.sampled_from([1e-3, 1e-2, 0.1]))
+    def test_three_by_three_family(self, seed, d):
+        u = random_unitary(3, philox(seed))
+        t = u.conj().T @ sr.three_by_three(d, 1.5 * d * d, 0.0) @ u
+        assert sr.commutant_dimension(t) == kronecker_nullity(t) == 1
+
+
+STRUCTURED = st.one_of(
+    st.builds(conjugated_sum, SEEDS, BLOCK_SIZES),
+    st.builds(repeated_block, SEEDS, st.integers(1, 4), st.just(2)),
+    st.builds(normal_repeated, SEEDS, BLOCK_SIZES),
+)
+
+
+class TestCommutantInvariance:
+    @PROPERTY
+    @given(STRUCTURED, SEEDS)
+    def test_unitary_similarity(self, t, seed):
+        u = random_unitary(t.shape[0], philox(seed))
+        assert (sr.commutant_dimension(u.conj().T @ t @ u)
+                == sr.commutant_dimension(t))
+
+    @PROPERTY
+    @given(STRUCTURED, st.sampled_from([2.0 ** 40, 2.0 ** -40]))
+    def test_scaling(self, t, factor):
+        assert (sr.commutant_dimension(factor * t)
+                == sr.commutant_dimension(t))
 
 
 class TestSimilarityInvariants2x2:
