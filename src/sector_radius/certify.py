@@ -24,6 +24,7 @@ from .matcore import (
     cartesian_decompose,
     eigenvalues_2x2,
     invariants_close,
+    matrix_scale,
     operator_norm,
     similarity_invariants_2x2,
     top_right_singular_vectors,
@@ -32,6 +33,7 @@ from .matcore import (
 from .extremal import canonical_b
 from .numrange import (
     HALF_PI,
+    _slopes,
     min_sector_angle,
     numerical_radius,
     sector_contains,
@@ -99,28 +101,23 @@ def canonical_family_test(a, alpha) -> RecoveredForm | None:
     alpha = validate_sector_angle(alpha)
     atol = tol.FAMILY_ATOL
     det = complex(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
-    if det.real <= 0.0 or abs(det.imag) > atol * max(1.0, abs(det)):
+    if det.real <= 0.0 or abs(det.imag) > atol * abs(det):
         return None
     a0 = a / math.sqrt(det.real)
-    scale = float(np.linalg.norm(a0, 2))
-    if scale == 0.0:
-        return None
+    cut = tol.PSD_RTOL * matrix_scale(a0)
     h, g = cartesian_decompose(a0)
-    eig_h = np.linalg.eigvalsh(h)
+    w, v = np.linalg.eigh(h)
     if alpha < HALF_PI - 1e-12:
-        if eig_h[0] <= tol.PSD_RTOL * scale:
+        if w[0] <= cut:
             return None
-        w, v = np.linalg.eigh(h)
-        inv_root = (v / np.sqrt(w)) @ v.conj().T
-        prod = inv_root @ g @ inv_root
-        ew = np.linalg.eigvalsh((prod + prod.conj().T) / 2.0)
+        ew = _slopes(g, w, v)
         target = math.tan(alpha)
         if abs(ew[0] + target) > atol or abs(ew[-1] - target) > atol:
             return None
         return _recover_form(a0, alpha)
     # Half-plane sector: H is positive semidefinite but singular on the
     # family, so fall back to the complete invariant triple.
-    if eig_h[0] < -tol.PSD_RTOL * scale:
+    if w[0] < -cut:
         return None
     form = _recover_form(a0, alpha)
     if form is None:
@@ -162,16 +159,20 @@ def compression_2x2(t, x) -> np.ndarray:
     nx = float(np.linalg.norm(x))
     if abs(nx - 1.0) > 1e-8:
         raise ParameterError(f"x must be a unit vector, got norm {nx}")
+    basis = _span_basis(t, x)
+    return basis.conj().T @ t @ basis
+
+
+def _span_basis(t: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (x, y) of span{x, Tx}; raises if Tx is along x."""
     y = t @ x
-    overlap = np.vdot(x, y)
-    y_perp = y - overlap * x
+    y_perp = y - np.vdot(x, y) * x
     ny = float(np.linalg.norm(y_perp))
-    if ny <= 1e-12 * max(1.0, float(np.linalg.norm(y))):
+    if ny <= 1e-12 * float(np.linalg.norm(y)):
         raise DegenerateError(
             "Tx is parallel to x (x is an eigenvector); the span is "
             "one-dimensional")
-    basis = np.column_stack([x, y_perp / ny])
-    return basis.conj().T @ t @ basis
+    return np.column_stack([x, y_perp / ny])
 
 
 class Verdict(str, Enum):
@@ -255,13 +256,11 @@ def _certify_with_vector(t_norm: np.ndarray, x: np.ndarray, alpha: float,
                          ratio: float, tau_a: float, tol_cert: float,
                          reference) -> CertificationReport:
     n = t_norm.shape[0]
-    y = t_norm @ x
-    y_perp = y - np.vdot(x, y) * x
-    ny = float(np.linalg.norm(y_perp))
-    if ny <= 1e-12 * max(1.0, float(np.linalg.norm(y))):
+    try:
+        basis = _span_basis(t_norm, x)
+    except DegenerateError:
         return CertificationReport(Verdict.DEGENERATE, alpha, ratio, tau_a,
                                    attaining_vector=x)
-    basis = np.column_stack([x, y_perp / ny])
     compression = basis.conj().T @ t_norm @ basis
     if not invariants_close(similarity_invariants_2x2(compression),
                             reference, tol_cert):

@@ -20,6 +20,7 @@ from .matcore import cartesian_decompose, commutant_dimension, operator_norm
 from .numrange import numerical_radius, validate_sector_angle
 
 CHAIN_COUPLING_MAX = 1.0 / math.sqrt(45.0)
+_REDUCIBLE = "commutant dimension != 1 (unitarily reducible)"
 
 
 @dataclass(frozen=True)
@@ -225,7 +226,7 @@ def _chain_postconditions(t: np.ndarray, n: int, epsilon: float,
     if lam_min < -atol:
         return f"Hermitian part not PSD (lambda_min = {lam_min})"
     if commutant_dimension(t) != 1:
-        return "commutant dimension != 1 (unitarily reducible)"
+        return _REDUCIBLE
     for k, x in zip(range(4, n + 1), chain_eigenvectors(n, epsilon)):
         resid = float(np.linalg.norm(t.conj().T @ x - epsilon ** (k - 3) * x))
         if resid > atol * float(np.linalg.norm(x)):
@@ -242,7 +243,8 @@ def irreducible_family(n, d, epsilon=None) -> tuple[np.ndarray, float]:
     valid value is found by starting from a conservative feasibility seed
     and halving until the construction's postconditions (unit norm, radius
     1/sqrt(2), PSD Hermitian part, trivial commutant, adjoint
-    eigen-relations) all hold.
+    eigen-relations) all hold.  A failed commutant test raises at once:
+    halving epsilon only weakens the chain's coupling.
 
     Returns the matrix together with the epsilon actually used.
     """
@@ -272,8 +274,12 @@ def irreducible_family(n, d, epsilon=None) -> tuple[np.ndarray, float]:
     eps = min(0.1, headroom / 2.0)
     for _ in range(60):
         t = chain_matrix(n, d, eps)
-        if _chain_postconditions(t, n, eps) is None:
+        failure = _chain_postconditions(t, n, eps)
+        if failure is None:
             return t, eps
+        if failure == _REDUCIBLE:
+            raise ConstructionError(
+                f"{failure} at epsilon = {eps} (n = {n}, d = {d})")
         eps /= 2.0
     raise ConstructionError(
         f"no valid epsilon found after 60 halvings (n = {n}, d = {d})")

@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from . import tolerances as tol
 from .errors import MatrixShapeError, ParameterError
 from .matcore import (as_square_matrix, cartesian_decompose, eigenvalues_2x2,
-                      hermitian_spectrum)
+                      matrix_scale)
 
 HALF_PI = math.pi / 2.0
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -78,22 +78,35 @@ def support_value(t, theta) -> BoundarySample:
     lies on the boundary of W(T).
     """
     t = as_square_matrix(t)
-    theta = float(theta)
+    return _boundary_samples(t, np.array([float(theta)]))[0]
+
+
+def _boundary_samples(t: np.ndarray, thetas) -> list[BoundarySample]:
+    """Support value and Rayleigh boundary point at every angle in `thetas`."""
+    n = t.shape[0]
     h, g = cartesian_decompose(t)
-    m = math.cos(theta) * h + math.sin(theta) * g
-    w, v = hermitian_spectrum(m)
-    vec = v[:, -1]
-    point = complex(vec.conj() @ (t @ vec))
-    return BoundarySample(theta, float(w[-1]), point)
+    ct = np.cos(thetas)
+    st = np.sin(thetas)
+    out: list[BoundarySample] = []
+    chunk = max(1, 2_000_000 // (n * n))
+    for lo in range(0, thetas.size, chunk):
+        sl = slice(lo, min(lo + chunk, thetas.size))
+        mats = ct[sl, None, None] * h + st[sl, None, None] * g
+        w, v = np.linalg.eigh(mats)
+        top = v[..., -1]
+        pts = np.einsum("ki,ij,kj->k", top.conj(), t, top)
+        for i in range(w.shape[0]):
+            out.append(BoundarySample(float(thetas[sl][i]),
+                                      float(w[i, -1]), complex(pts[i])))
+    return out
 
 
-def _golden_max(fvec: Callable[[np.ndarray], np.ndarray],
-                lo: np.ndarray, hi: np.ndarray,
+def _golden_max(h: np.ndarray, g: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                 width_tol: float, max_iter: int = 200) -> float:
-    """Golden-section maximization run in lockstep over several brackets.
+    """Golden-section maximum of the support function over several brackets.
 
-    Returns the best function value encountered.  Each bracket must contain
-    a local maximum of a continuous function.
+    Returns the best value encountered.  Each bracket must contain a local
+    maximum.
     """
     a = np.asarray(lo, dtype=np.float64).copy()
     b = np.asarray(hi, dtype=np.float64).copy()
@@ -104,8 +117,8 @@ def _golden_max(fvec: Callable[[np.ndarray], np.ndarray],
             break
         c = b - _INVPHI * span
         d = a + _INVPHI * span
-        fc = fvec(c)
-        fd = fvec(d)
+        fc = _support_values(h, g, c)
+        fd = _support_values(h, g, d)
         best = max(best, float(fc.max()), float(fd.max()))
         keep_left = fc >= fd
         b = np.where(keep_left, d, b)
@@ -135,8 +148,7 @@ def numerical_radius(t) -> float:
     order = np.lexsort((local, -vals[local]))
     pick = local[order][:tol.RADIUS_REFINE_BRACKETS]
     step = 2.0 * math.pi / m
-    refined = _golden_max(lambda th: _support_values(h, g, th),
-                          thetas[pick] - step, thetas[pick] + step,
+    refined = _golden_max(h, g, thetas[pick] - step, thetas[pick] + step,
                           tol.RADIUS_THETA_TOL)
     return max(best, refined)
 
@@ -150,23 +162,7 @@ def boundary_points(t, m) -> list[BoundarySample]:
     m = int(m)
     if m < 3:
         raise ParameterError(f"need at least 3 boundary samples, got {m}")
-    n = t.shape[0]
-    thetas = 2.0 * math.pi * np.arange(m) / m
-    h, g = cartesian_decompose(t)
-    ct = np.cos(thetas)
-    st = np.sin(thetas)
-    out: list[BoundarySample] = []
-    chunk = max(1, 2_000_000 // (n * n))
-    for lo in range(0, m, chunk):
-        sl = slice(lo, min(lo + chunk, m))
-        mats = ct[sl, None, None] * h + st[sl, None, None] * g
-        w, v = np.linalg.eigh(mats)
-        top = v[..., -1]
-        pts = np.einsum("ki,ij,kj->k", top.conj(), t, top)
-        for i in range(w.shape[0]):
-            out.append(BoundarySample(float(thetas[sl][i]),
-                                      float(w[i, -1]), complex(pts[i])))
-    return out
+    return _boundary_samples(t, 2.0 * math.pi * np.arange(m) / m)
 
 
 @dataclass(frozen=True)
@@ -218,7 +214,7 @@ def ellipse_2x2(a) -> EllipseDescriptor:
     fro2 = float(np.sum(np.abs(a) ** 2))
     radicand = fro2 - abs(lam[0]) ** 2 - abs(lam[1]) ** 2
     if radicand < 0.0:
-        if radicand < -1e-12 * max(1.0, fro2):
+        if radicand < -1e-12 * fro2:
             raise MatrixShapeError(
                 "inconsistent 2x2 invariants (non-real minor axis)")
         radicand = 0.0
@@ -251,31 +247,10 @@ def ellipse_support_point(desc: EllipseDescriptor, theta: float) -> complex:
 
 
 def ellipse_radius(desc: EllipseDescriptor) -> float:
-    """Maximum modulus over the elliptical disk (attained on its boundary)."""
-    a = desc.semi_major
-    b = desc.semi_minor
-    z0 = desc.center
-    if a == 0.0:
-        return abs(z0)
-    psi = desc.axis_phase
-    u = complex(math.cos(psi), math.sin(psi))
-
-    def mod(phis: np.ndarray) -> np.ndarray:
-        return np.abs(z0 + u * (a * np.cos(phis) + 1j * b * np.sin(phis)))
-
-    m = 512
-    phis = 2.0 * math.pi * np.arange(m) / m
-    vals = mod(phis)
-    best = float(vals.max())
-    local = np.flatnonzero((vals >= np.roll(vals, 1))
-                           & (vals >= np.roll(vals, -1)))
-    if local.size == 0:
-        local = np.array([int(vals.argmax())])
-    order = np.lexsort((local, -vals[local]))
-    pick = local[order][:4]
-    step = 2.0 * math.pi / m
-    refined = _golden_max(mod, phis[pick] - step, phis[pick] + step, 1e-13)
-    return max(best, refined)
+    """Maximum modulus over the elliptical disk: the numerical radius of
+    [[focus1, minor_axis_length], [0, focus2]], whose range is this disk."""
+    return numerical_radius([[desc.focus1, desc.minor_axis_length],
+                             [0.0, desc.focus2]])
 
 
 def sector_contains(t, alpha) -> bool:
@@ -284,13 +259,13 @@ def sector_contains(t, alpha) -> bool:
     Equivalent to both sin(alpha) H + cos(alpha) G and
     sin(alpha) H - cos(alpha) G being positive semidefinite; for
     alpha = pi/2 this reduces to H being positive semidefinite.
-    Eigenvalues above ``-PSD_RTOL * ||T||`` count as nonnegative, because
+    Eigenvalues above ``-PSD_RTOL * ||T||_F`` count as nonnegative, because
     extremal matrices touch the sector boundary exactly.
     """
     t = as_square_matrix(t)
     alpha = validate_sector_angle(alpha)
     h, g = cartesian_decompose(t)
-    cut = -tol.PSD_RTOL * float(np.linalg.norm(t, 2))
+    cut = -tol.PSD_RTOL * matrix_scale(t)
     if alpha == 0.0 and float(np.linalg.eigvalsh(h)[0]) < cut:
         # the degenerate sector is the nonnegative real axis; the +-G
         # conditions below only force G = 0 there
@@ -315,7 +290,7 @@ def min_sector_angle(t) -> float | None:
     splits off and the complement is examined recursively.
     """
     t = as_square_matrix(t)
-    scale = float(np.linalg.norm(t, 2))
+    scale = matrix_scale(t)
     if scale == 0.0:
         return 0.0
     return _min_sector_angle(t, scale)
@@ -329,10 +304,7 @@ def _min_sector_angle(t: np.ndarray, scale: float) -> float | None:
         return None
     kernel = w <= cut
     if not kernel.any():
-        inv_root = (v / np.sqrt(w)) @ v.conj().T
-        prod = inv_root @ g @ inv_root
-        ew = np.linalg.eigvalsh((prod + prod.conj().T) / 2.0)
-        return math.atan(float(np.max(np.abs(ew))))
+        return math.atan(float(np.max(np.abs(_slopes(g, w, v)))))
     if kernel.all():
         return 0.0 if float(np.linalg.norm(g, 2)) <= cut else HALF_PI
     k = v[:, kernel]
@@ -342,6 +314,14 @@ def _min_sector_angle(t: np.ndarray, scale: float) -> float | None:
             or float(np.linalg.norm(q.conj().T @ gk, 2)) > cut):
         return HALF_PI
     return _min_sector_angle(q.conj().T @ t @ q, scale)
+
+
+def _slopes(g: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of H^{-1/2} G H^{-1/2}, given eigh(H) = (w, v)
+    with w > 0: the extremes are the least and greatest slope b/a on W(T)."""
+    inv_root = (v / np.sqrt(w)) @ v.conj().T
+    prod = inv_root @ g @ inv_root
+    return np.linalg.eigvalsh((prod + prod.conj().T) / 2.0)
 
 
 # ---------------------------------------------------------------------------

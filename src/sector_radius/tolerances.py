@@ -13,7 +13,7 @@ from .errors import UsageError
 # Hermitian check (relative to the matrix scale).
 HERMITIAN_RTOL = 1e-12
 
-# Positive-semidefiniteness: lambda_min >= -PSD_RTOL * ||T||.  Extremal
+# Positive-semidefiniteness: lambda_min >= -PSD_RTOL * ||T||_F.  Extremal
 # matrices touch the cone boundary exactly, so a strict zero test would flap.
 PSD_RTOL = 1e-10
 

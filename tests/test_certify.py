@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sector_radius as sr
 
@@ -18,6 +19,16 @@ def random_unitary(n, rng=RNG):
     q, r = np.linalg.qr(complex_gaussian((n, n), rng))
     d = np.diagonal(r)
     return q * (d / np.abs(d)).conj()
+
+
+def philox(seed):
+    return np.random.default_rng(np.random.Philox(seed))
+
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
+SEEDS = st.integers(0, 2 ** 32 - 1)
+POWERS_OF_TWO = st.integers(-60, 60)
+SECTOR_ANGLES = st.sampled_from([0.3, 0.9, 1.4, math.pi / 2])
 
 
 def direct_sum(*blocks):
@@ -258,3 +269,124 @@ class TestTau:
         assert sr.tau(0.0) == 1.0
         assert sr.tau(math.pi / 2) == pytest.approx(math.sqrt(2), abs=1e-15)
         assert sr.tau(math.pi / 4) == pytest.approx(math.sqrt(1.5), abs=1e-15)
+
+
+def family_input(seed, alpha):
+    """Scaled unitary conjugate of a family member, of its adjoint, or of
+    a member times a phase e^{i phi} (phi >= 7e-9 makes det(A) non-real
+    beyond FAMILY_ATOL and so A a non-member)."""
+    rng = philox(seed)
+    theta = alpha * rng.uniform(0.0, 1.0)
+    a = sr.r_alpha_matrix(rng.uniform(1.0, 3.0), theta, alpha)
+    kind = int(rng.integers(0, 3))
+    if kind == 1:
+        a = a.conj().T
+    elif kind == 2:
+        a = a * np.exp(1j * rng.choice([7e-9, 1e-6, 0.3]))
+    u = random_unitary(2, rng)
+    return rng.uniform(0.2, 5.0) * (u.conj().T @ a @ u)
+
+
+def certify_input(seed, alpha):
+    """U* (B + N) U with B extremal for alpha: extremal when the normal
+    block N lies in the sector with radius below 1/tau, not extremal when
+    B is shrunk under N = 1; or a Gaussian matrix, rarely in the sector."""
+    rng = philox(seed)
+    kind = int(rng.integers(0, 3))
+    if kind == 0:
+        m = int(rng.integers(1, 4))
+        moduli = rng.uniform(0.05, 1.0 / sr.tau(alpha) - 0.02, m)
+        phases = rng.uniform(-0.9 * alpha, 0.9 * alpha, m)
+        t = direct_sum(sr.extremal_2x2(alpha),
+                       np.diag(moduli * np.exp(1j * phases)))
+    elif kind == 1:
+        t = direct_sum(0.95 * sr.extremal_2x2(alpha), np.eye(1))
+    else:
+        t = complex_gaussian((int(rng.integers(2, 6)),) * 2, rng)
+    u = random_unitary(t.shape[0], rng)
+    return rng.uniform(0.2, 5.0) * (u.conj().T @ t @ u)
+
+
+def compression_input(seed):
+    """Gaussian T of dimension 2..6 and a Gaussian unit vector x."""
+    rng = philox(seed)
+    n = int(rng.integers(2, 7))
+    x = complex_gaussian((n,), rng)
+    return complex_gaussian((n, n), rng), x / np.linalg.norm(x)
+
+
+class TestSectorLayerInvariance:
+    """Family membership, the certification verdict and the compression
+    ignore scale and unitary similarity."""
+
+    @staticmethod
+    def assert_same_form(form, form2):
+        assert (form is None) == (form2 is None)
+        if form is not None:
+            assert form2.r == pytest.approx(form.r, rel=1e-9)
+            assert form2.theta == pytest.approx(form.theta, abs=1e-9)
+
+    @PROPERTY
+    @given(SEEDS, SECTOR_ANGLES, POWERS_OF_TWO)
+    def test_family_scaling(self, seed, alpha, k):
+        a = family_input(seed, alpha)
+        self.assert_same_form(sr.canonical_family_test(a, alpha),
+                              sr.canonical_family_test(2.0 ** k * a, alpha))
+
+    @PROPERTY
+    @given(SEEDS, SECTOR_ANGLES, SEEDS)
+    def test_family_unitary_similarity(self, seed, alpha, useed):
+        a = family_input(seed, alpha)
+        u = random_unitary(2, philox(useed))
+        self.assert_same_form(
+            sr.canonical_family_test(a, alpha),
+            sr.canonical_family_test(u.conj().T @ a @ u, alpha))
+
+    def test_small_non_member_stays_out(self):
+        # det(A) is off the real axis by 1.4e-8 |det(A)|: a non-member at
+        # every scale, not only where |det(A)| >= 1
+        a = sr.r_alpha_matrix(1.3, 0.1, 0.3) * np.exp(7e-9j)
+        assert sr.canonical_family_test(a, 0.3) is None
+        assert sr.canonical_family_test(2.0 ** -60 * a, 0.3) is None
+
+    @PROPERTY
+    @given(SEEDS, SECTOR_ANGLES, POWERS_OF_TWO)
+    def test_certify_scaling(self, seed, alpha, k):
+        t = certify_input(seed, alpha)
+        assert (sr.certify_extremal(2.0 ** k * t, alpha).verdict
+                is sr.certify_extremal(t, alpha).verdict)
+
+    @PROPERTY
+    @given(SEEDS, SECTOR_ANGLES, SEEDS)
+    def test_certify_unitary_similarity(self, seed, alpha, useed):
+        t = certify_input(seed, alpha)
+        u = random_unitary(t.shape[0], philox(useed))
+        assert (sr.certify_extremal(u.conj().T @ t @ u, alpha).verdict
+                is sr.certify_extremal(t, alpha).verdict)
+
+    @PROPERTY
+    @given(SEEDS, POWERS_OF_TWO)
+    def test_compression_scaling(self, seed, k):
+        t, x = compression_input(seed)
+        comp = sr.compression_2x2(t, x)
+        np.testing.assert_allclose(
+            sr.compression_2x2(2.0 ** k * t, x) / 2.0 ** k, comp,
+            rtol=0, atol=1e-14 * np.linalg.norm(t))
+
+    @PROPERTY
+    @given(SEEDS, SEEDS)
+    def test_compression_unitary_similarity(self, seed, useed):
+        t, x = compression_input(seed)
+        u = random_unitary(t.shape[0], philox(useed))
+        np.testing.assert_allclose(
+            sr.compression_2x2(u.conj().T @ t @ u, u.conj().T @ x),
+            sr.compression_2x2(t, x), rtol=0, atol=1e-13 * np.linalg.norm(t))
+
+    def test_compression_of_tiny_matrix(self):
+        rng = philox(4)
+        t = complex_gaussian((4, 4), rng)
+        x = complex_gaussian((4,), rng)
+        x /= np.linalg.norm(x)
+        np.testing.assert_allclose(
+            sr.compression_2x2(1e-20 * t, x) / 1e-20, sr.compression_2x2(t, x),
+            rtol=0, atol=1e-14 * np.linalg.norm(t))

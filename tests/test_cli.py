@@ -72,6 +72,7 @@ def test_malformed_json_exit_two(capsys, monkeypatch):
     assert "malformed JSON" in err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_result_exit_one(capsys, monkeypatch):
     # finite entries whose Hermitian part overflows: w is nan, which has no
     # JSON form, so the command fails instead of printing it

@@ -242,6 +242,23 @@ class TestIrreducibleFamily:
         assert eps == 0.1
         assert sr.commutant_dimension(t) == 1
 
+    def test_reducible_chain_raises_after_one_pass(self, monkeypatch):
+        # n = 15 fails the commutant test at the first epsilon; a smaller
+        # epsilon cannot pass it, so the constructor stops there
+        from sector_radius import extremal
+
+        calls = []
+
+        def counting(t):
+            calls.append(t.shape[0])
+            return sr.commutant_dimension(t)
+
+        monkeypatch.setattr(extremal, "commutant_dimension", counting)
+        with pytest.raises(sr.ConstructionError,
+                           match=r"commutant dimension != 1.*epsilon = 0\.1"):
+            sr.irreducible_family(15, 0.05)
+        assert calls == [15]
+
     def test_adjoint_eigen_relations(self):
         n, d = 5, 0.05
         t, eps = sr.irreducible_family(n, d)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sector_radius as sr
 from sector_radius.numrange import _support_values
@@ -13,6 +14,21 @@ RNG = np.random.default_rng(np.random.Philox(20240602))
 
 def complex_gaussian(shape, rng=RNG):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def philox(seed):
+    return np.random.default_rng(np.random.Philox(seed))
+
+
+def random_unitary(n, rng):
+    q, r = np.linalg.qr(complex_gaussian((n, n), rng))
+    d = np.diagonal(r)
+    return q * (d / np.abs(d)).conj()
+
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
+SEEDS = st.integers(0, 2 ** 32 - 1)
+POWERS_OF_TWO = st.integers(-60, 60)
 
 
 B1 = np.array([[2 / 3, 1 / math.sqrt(3)], [-1 / math.sqrt(3), 0.0]])
@@ -271,3 +287,112 @@ class TestMinSectorAngle:
             sr.sector_contains(np.eye(2), 2.0)
         with pytest.raises(sr.ParameterError):
             sr.sector_contains(np.eye(2), -0.1)
+
+
+def gaussian(seed):
+    """Gaussian matrix of dimension 1..6."""
+    rng = philox(seed)
+    return complex_gaussian((int(rng.integers(1, 7)),) * 2, rng)
+
+
+class TestRadiusProperties:
+    @PROPERTY
+    @given(SEEDS, SEEDS)
+    def test_unitary_similarity(self, seed, useed):
+        t = gaussian(seed)
+        u = random_unitary(t.shape[0], philox(useed))
+        assert sr.numerical_radius(u.conj().T @ t @ u) == pytest.approx(
+            sr.numerical_radius(t), rel=1e-13)
+
+    @PROPERTY
+    @given(SEEDS)
+    def test_adjoint(self, seed):
+        t = gaussian(seed)
+        assert sr.numerical_radius(t.conj().T) == pytest.approx(
+            sr.numerical_radius(t), rel=1e-13)
+
+    @PROPERTY
+    @given(SEEDS, st.floats(0.0, 2 * math.pi))
+    def test_rotation(self, seed, phi):
+        t = gaussian(seed)
+        assert sr.numerical_radius(np.exp(1j * phi) * t) == pytest.approx(
+            sr.numerical_radius(t), rel=1e-13)
+
+    @PROPERTY
+    @given(SEEDS, st.sampled_from([2.0 ** 40, 2.0 ** -40]))
+    def test_power_of_two_scaling_is_exact(self, seed, factor):
+        t = gaussian(seed)
+        w = sr.numerical_radius(t)
+        assert sr.numerical_radius(factor * t) == factor * w
+
+    @PROPERTY
+    @given(SEEDS, st.sampled_from([1e300, 1e-300]))
+    def test_extreme_scaling(self, seed, factor):
+        t = gaussian(seed)
+        assert sr.numerical_radius(factor * t) / factor == pytest.approx(
+            sr.numerical_radius(t), rel=1e-13)
+
+    @PROPERTY
+    @given(SEEDS, st.sampled_from([1e100, 1.0, 1e-100]))
+    def test_ellipse_radius_matches(self, seed, factor):
+        t = factor * complex_gaussian((2, 2), philox(seed))
+        assert sr.ellipse_radius(sr.ellipse_2x2(t)) == pytest.approx(
+            sr.numerical_radius(t), rel=1e-13)
+
+
+def sectorial(seed):
+    """H + i H^{1/2} K H^{1/2} with H positive definite: W(T) lies in the
+    sector of half-angle arctan ||K||, n = 2..6."""
+    rng = philox(seed)
+    n = int(rng.integers(2, 7))
+    a = complex_gaussian((n, n), rng)
+    h = a.conj().T @ a + 0.1 * np.eye(n)
+    k = a + a.conj().T
+    k *= rng.uniform(0.1, 2.0) / np.linalg.norm(k, 2)
+    w, v = np.linalg.eigh(h)
+    root = (v * np.sqrt(w)) @ v.conj().T
+    return h + 1j * (root @ k @ root)
+
+
+def touching(seed):
+    """U* (extremal_2x2(alpha) + 0) U: W(T) touches both rays of the sector
+    and H is singular when the zero block is present."""
+    rng = philox(seed)
+    alpha = rng.uniform(0.2, math.pi / 2)
+    n = 2 + int(rng.integers(0, 3))
+    t = np.zeros((n, n), dtype=complex)
+    t[:2, :2] = sr.extremal_2x2(alpha)
+    u = random_unitary(n, rng)
+    return u.conj().T @ t @ u
+
+
+SECTOR_INPUTS = st.one_of(st.builds(sectorial, SEEDS),
+                          st.builds(touching, SEEDS),
+                          st.builds(gaussian, SEEDS))
+ANGLES = (0.0, 0.3, 0.8, 1.2, math.pi / 2)
+
+
+class TestSectorInvariance:
+    """Containment and the minimal angle ignore scale and similarity."""
+
+    def assert_same_sector(self, t, t2):
+        amin = sr.min_sector_angle(t)
+        amin2 = sr.min_sector_angle(t2)
+        assert (amin is None) == (amin2 is None)
+        if amin is not None:
+            assert amin2 == pytest.approx(amin, abs=1e-12)
+            assert sr.sector_contains(t, amin) and sr.sector_contains(t2, amin)
+        for alpha in ANGLES:
+            assert (sr.sector_contains(t2, alpha)
+                    == sr.sector_contains(t, alpha))
+
+    @PROPERTY
+    @given(SECTOR_INPUTS, POWERS_OF_TWO)
+    def test_scaling(self, t, k):
+        self.assert_same_sector(t, 2.0 ** k * t)
+
+    @PROPERTY
+    @given(SECTOR_INPUTS, SEEDS)
+    def test_unitary_similarity(self, t, useed):
+        u = random_unitary(t.shape[0], philox(useed))
+        self.assert_same_sector(t, u.conj().T @ t @ u)
