@@ -21,6 +21,7 @@ from . import tolerances as tol
 from .errors import DegenerateError, MatrixShapeError, ParameterError
 from .matcore import (
     as_square_matrix,
+    binary_scale,
     cartesian_decompose,
     eigenvalues_2x2,
     invariants_close,
@@ -100,6 +101,7 @@ def canonical_family_test(a, alpha) -> RecoveredForm | None:
         raise MatrixShapeError(f"expected a 2x2 matrix, got {a.shape}")
     alpha = validate_sector_angle(alpha)
     atol = tol.FAMILY_ATOL
+    a = a / binary_scale(a)
     det = complex(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
     if det.real <= 0.0 or abs(det.imag) > atol * abs(det):
         return None

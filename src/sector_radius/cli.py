@@ -150,8 +150,7 @@ def _cmd_canonical_family(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    tol_cert = args.tol if args.tol is not None else tolerances.default_certify_tol()
-    rep = certify_extremal(read_matrix(args.infile), args.alpha, tol_cert)
+    rep = certify_extremal(read_matrix(args.infile), args.alpha, args.tol)
     payload = {
         "verdict": rep.verdict.value,
         "alpha": rep.alpha,
@@ -283,9 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_matrix_in(sub)
     _add_alpha(sub)
     sub.add_argument("--tol", type=float, default=None,
-                     help=(f"certification tolerance (default "
-                           f"{tolerances.DEFAULT_CERTIFY_TOL}; env "
-                           f"{tolerances.TOL_ENV_VAR} overrides)"))
+                     help=(f"certification tolerance; overrides env "
+                           f"{tolerances.TOL_ENV_VAR} (default "
+                           f"{tolerances.DEFAULT_CERTIFY_TOL})"))
     sub.set_defaults(func=_cmd_certify)
 
     sub = subs.add_parser("verify", help="run the acceptance suite")

@@ -10,6 +10,7 @@ irreducibility tests, and the complete unitary-similarity invariants for
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -92,19 +93,19 @@ def operator_norm(t) -> float:
     return float(np.linalg.norm(t, 2))
 
 
-def top_right_singular_vectors(t, rel_gap: float = 1e-10):
+def top_right_singular_vectors(t):
     """Largest singular value and the right singular vectors attaining it.
 
     Returns ``(sigma_max, vectors)`` where ``vectors`` spans the top
-    singular subspace (all singular values within ``rel_gap * sigma_max``
-    of the largest).  Vectors are phase-normalized.
+    singular subspace (all singular values within ``TOP_SINGULAR_RTOL *
+    sigma_max`` of the largest).  Vectors are phase-normalized.
     """
     t = as_square_matrix(t)
     _, s, vh = np.linalg.svd(t)
     smax = float(s[0])
     if smax == 0.0:
         return 0.0, []
-    count = int(np.sum(smax - s <= rel_gap * smax))
+    count = int(np.sum(smax - s <= tol.TOP_SINGULAR_RTOL * smax))
     vecs = _phase_normalize(vh[:count].conj().T)
     return smax, [vecs[:, k] for k in range(count)]
 
@@ -159,12 +160,26 @@ def commutant_dimension(t) -> int:
     return dim
 
 
+def binary_scale(a: np.ndarray) -> float:
+    """Power of two to divide ``a`` by before a closed form multiplies entries.
+
+    1 while the largest entry modulus lies in [2^-500, 2^500], where
+    squares and products of entries stay normal and finite; otherwise the
+    largest normal power of two not above it.  Dividing by it is exact.
+    """
+    e = math.frexp(float(np.max(np.abs(a))))[1]
+    return 1.0 if abs(e) <= 500 else math.ldexp(1.0, max(e - 1, -1022))
+
+
 def eigenvalues_2x2(a: np.ndarray) -> tuple[complex, complex]:
-    """Eigenvalues (tr/2 - disc, tr/2 + disc) of a 2x2 matrix, closed form."""
+    """Eigenvalues (tr/2 - disc, tr/2 + disc) of a 2x2 matrix, closed form,
+    evaluated on ``a / binary_scale(a)``."""
+    s = binary_scale(a)
+    a = a / s
     half = (a[0, 0] + a[1, 1]) / 2.0
     disc = np.sqrt(complex(half * half - (a[0, 0] * a[1, 1]
                                           - a[0, 1] * a[1, 0])))
-    return complex(half - disc), complex(half + disc)
+    return complex(half - disc) * s, complex(half + disc) * s
 
 
 class SimilarityInvariants2x2(NamedTuple):

@@ -23,8 +23,8 @@ import numpy as np
 
 from . import tolerances as tol
 from .errors import MatrixShapeError, ParameterError
-from .matcore import (as_square_matrix, cartesian_decompose, eigenvalues_2x2,
-                      matrix_scale)
+from .matcore import (as_square_matrix, binary_scale, cartesian_decompose,
+                      eigenvalues_2x2, matrix_scale)
 
 HALF_PI = math.pi / 2.0
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -205,11 +205,13 @@ def ellipse_2x2(a) -> EllipseDescriptor:
 
     The foci are the eigenvalues and the minor axis has length
     sqrt(tr(AA*) - |l1|^2 - |l2|^2); tiny negative radicands from rounding
-    are clamped to zero.
+    are clamped to zero.  Both are evaluated on ``a / binary_scale(a)``.
     """
     a = as_square_matrix(a)
     if a.shape != (2, 2):
         raise MatrixShapeError(f"expected a 2x2 matrix, got {a.shape}")
+    s = binary_scale(a)
+    a = a / s
     lam = sorted(eigenvalues_2x2(a), key=lambda z: (z.real, z.imag))
     fro2 = float(np.sum(np.abs(a) ** 2))
     radicand = fro2 - abs(lam[0]) ** 2 - abs(lam[1]) ** 2
@@ -220,7 +222,7 @@ def ellipse_2x2(a) -> EllipseDescriptor:
         radicand = 0.0
     minor = math.sqrt(radicand)
     major = math.hypot(abs(lam[1] - lam[0]), minor)
-    return EllipseDescriptor(lam[0], lam[1], minor, major)
+    return EllipseDescriptor(lam[0] * s, lam[1] * s, minor * s, major * s)
 
 
 def ellipse_support_point(desc: EllipseDescriptor, theta: float) -> complex:
@@ -330,12 +332,20 @@ def _slopes(g: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:
 def grid_radius(t, points: int = 1_000_000) -> float:
     """Numerical radius by brute force: max support value on a uniform grid.
 
-    Evaluates lambda_max(cos(t_k) H + sin(t_k) G) at ``points`` equally
-    spaced angles and returns the maximum.  For 3 <= n <= 7 the grid values
-    are computed through the characteristic polynomial, whose coefficients
-    are trigonometric polynomials in the angle, with a monotone Newton
-    iteration from above for the largest root; this is exact per grid point
-    and independent of the refinement strategy in `numerical_radius`.
+    Returns the largest of f(t_k) = lambda_max(cos(t_k) H + sin(t_k) G)
+    over the ``points`` angles t_k = 2 pi k / points.  f is the support
+    function of W(T), which is sublinear: for a <= s <= b with b - a < pi,
+    e^{is} = alpha e^{ia} + beta e^{ib} with alpha, beta >= 0 and
+    1 <= alpha + beta <= 1 / cos((b - a) / 2), so f(s) <= max(f(a), f(b)) /
+    cos((b - a) / 2) when that maximum is positive, and f(s) <= max(f(a),
+    f(b)) otherwise.  The grid is cut into at least 16 blocks of 16^j
+    consecutive angles, each valued at both ends; a block whose bound
+    plus a rounding slack of ``4 n eps ||T||_F`` stays at or below the best
+    grid value so far cannot hold a larger one and is skipped, and every
+    other block is split 16 ways, down to single angles.  No angle off the
+    grid is evaluated, so the result does not depend on the refinement in
+    `numerical_radius`.  When W(T) is a disk centred at 0 the support
+    function is constant and every angle is evaluated.
     """
     t = as_square_matrix(t)
     points = int(points)
@@ -345,104 +355,25 @@ def grid_radius(t, points: int = 1_000_000) -> float:
     if n == 1:
         return float(abs(t[0, 0]))
     h, g = cartesian_decompose(t)
-    if 3 <= n <= 7:
-        return _grid_radius_charpoly(h, g, points)
+    slack = 4.0 * n * np.finfo(float).eps * matrix_scale(t)
+    width = 1
+    while width * 256 <= points:
+        width *= 16
+    starts = np.arange(0, points, width)
     best = -math.inf
-    chunk = 262_144
-    for lo in range(0, points, chunk):
-        idx = np.arange(lo, min(lo + chunk, points))
+    while True:
+        ends = np.minimum(starts + width, points) % points
+        idx = np.sort(np.concatenate([starts, ends]))
+        idx = idx[np.diff(idx, prepend=-1) > 0]
         vals = _support_values(h, g, 2.0 * math.pi * idx / points)
         best = max(best, float(vals.max()))
-    return best
-
-
-def _charpoly_trig_coefficients(h: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Fourier coefficients of the characteristic polynomial coefficients.
-
-    Coefficient k of det(x I - cos(t) H - sin(t) G) is a trigonometric
-    polynomial of degree k <= n in t, so sampling at 16 > 2n+1 angles and
-    taking a DFT recovers it exactly (n <= 7).
-    """
-    n = h.shape[0]
-    samples = 16
-    phis = 2.0 * math.pi * np.arange(samples) / samples
-    mats = (np.cos(phis)[:, None, None] * h
-            + np.sin(phis)[:, None, None] * g)
-    eigs = np.linalg.eigvalsh(mats)
-    coeffs = np.empty((samples, n + 1))
-    for j in range(samples):
-        coeffs[j] = np.real(np.poly(eigs[j]))
-    return np.fft.fft(coeffs, axis=0) / samples
-
-
-def _eval_trig_coefficients(cm: np.ndarray, ct: np.ndarray,
-                            st: np.ndarray) -> np.ndarray:
-    """Evaluate every characteristic coefficient on a batch of angles."""
-    n = cm.shape[1] - 1
-    out = np.empty((n + 1, ct.size))
-    out[0] = 1.0
-    for k in range(1, n + 1):
-        out[k] = cm[0, k].real
-    cos_m = ct
-    sin_m = st
-    for m in range(1, n + 1):
-        if m > 1:
-            cos_m, sin_m = cos_m * ct - sin_m * st, sin_m * ct + cos_m * st
-        for k in range(m, n + 1):
-            c = cm[m, k]
-            out[k] += 2.0 * (c.real * cos_m - c.imag * sin_m)
-    return out
-
-
-def _newton_largest_roots(co: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """Largest real root of each monic real-rooted polynomial.
-
-    ``co`` holds, per column, the monic coefficients [1, a1, ..., an];
-    ``start`` must upper-bound the largest root, from where Newton descends
-    monotonically.
-    """
-    n = co.shape[0] - 1
-    x = np.asarray(start, dtype=np.float64).copy()
-    active = np.arange(x.size)
-    coef = co[1:]
-    coef_act = coef
-    for _ in range(150):
-        xa = x[active]
-        p = np.ones_like(xa)
-        dp = np.zeros_like(xa)
-        for k in range(n):
-            dp = dp * xa + p
-            p = p * xa + coef_act[k]
-        dp = np.maximum(dp, 1e-300)
-        step = np.clip(p / dp, 0.0, None)
-        xa -= step
-        x[active] = xa
-        keep = step > 1e-13 * np.maximum(1.0, np.abs(xa))
-        if not keep.any():
-            break
-        if keep.mean() < 0.7:
-            active = active[keep]
-            coef_act = coef[:, active]
-    return x
-
-
-def _grid_radius_charpoly(h: np.ndarray, g: np.ndarray, points: int) -> float:
-    cm = _charpoly_trig_coefficients(h, g)
-    ncoarse = 4096
-    phic = 2.0 * math.pi * np.arange(ncoarse) / ncoarse
-    envelope = _support_values(h, g, phic)
-    lip = float(np.linalg.norm(h, 2) + np.linalg.norm(g, 2))
-    coarse_step = 2.0 * math.pi / ncoarse
-    best = -math.inf
-    chunk = 262_144
-    for lo in range(0, points, chunk):
-        idx = np.arange(lo, min(lo + chunk, points))
-        th = 2.0 * math.pi * idx / points
-        co = _eval_trig_coefficients(cm, np.cos(th), np.sin(th))
-        j = np.rint(th / coarse_step).astype(np.int64) % ncoarse
-        dist = np.abs(th - phic[j])
-        dist = np.minimum(dist, 2.0 * math.pi - dist)
-        start = envelope[j] + lip * dist + 1e-9
-        roots = _newton_largest_roots(co, start)
-        best = max(best, float(roots.max()))
-    return best
+        if width == 1:
+            return best
+        top = np.maximum(vals[np.searchsorted(idx, starts)],
+                         vals[np.searchsorted(idx, ends)])
+        cos_half = np.cos(math.pi / points * ((ends - starts) % points))
+        top = np.where(top > 0.0, top / cos_half, top)
+        keep = starts[top + slack > best]
+        width //= 16
+        starts = (keep[:, None] + width * np.arange(16)).ravel()
+        starts = starts[starts < points]

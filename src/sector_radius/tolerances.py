@@ -22,6 +22,10 @@ PSD_RTOL = 1e-10
 COMMUTANT_CLUSTER_RTOL = 1e-7
 COMMUTANT_RTOL = 1e-13
 
+# Top singular subspace: singular values within this fraction of the
+# largest count as attaining the norm.
+TOP_SINGULAR_RTOL = 1e-10
+
 # Numerical radius maximization.
 RADIUS_GRID_POINTS = 1024
 RADIUS_REFINE_BRACKETS = 8

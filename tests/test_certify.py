@@ -89,6 +89,16 @@ class TestCanonicalFamilyTest:
         assert form.r == pytest.approx(r, abs=rec_tol)
         assert form.theta == pytest.approx(theta, abs=rec_tol)
 
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_round_trip_out_of_square_range(self, scale):
+        # the determinant of the scaled member under- or overflows unless
+        # the matrix is rescaled first
+        form = sr.canonical_family_test(
+            scale * sr.r_alpha_matrix(1.5, 0.3, 0.7), 0.7)
+        assert form is not None
+        assert form.r == pytest.approx(1.5, abs=1e-12)
+        assert form.theta == pytest.approx(0.3, abs=1e-12)
+
     def test_exact_triangular_round_trip_at_corner(self):
         form = sr.canonical_family_test(
             sr.r_alpha_matrix(1.0, 0.0, 0.9), 0.9)

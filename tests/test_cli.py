@@ -161,6 +161,21 @@ def test_ellipse_command(capsys, monkeypatch):
     assert payload["focus1"] == pytest.approx([0.0, 0.0], abs=1e-12)
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_ellipse_command_out_of_square_range(capsys, monkeypatch, scale):
+    # squares of these entries under- or overflow unless the matrix is
+    # rescaled before the closed forms
+    doc = to_json(matrix_document(scale * np.array([[1.0, 1.0], [0.0, 0.3]])))
+    code, out, _ = run_cli(capsys, ["ellipse", "--in", "-"],
+                           stdin=doc, monkeypatch=monkeypatch)
+    assert code == 0
+    payload = json.loads(out)
+    expected = {"focus1": [0.3 * scale, 0.0], "focus2": [scale, 0.0],
+                "minor_axis_length": scale}
+    for key, value in expected.items():
+        assert payload[key] == pytest.approx(value, rel=1e-14, abs=0.0)
+
+
 def test_canonical_b_command(capsys):
     code, out, _ = run_cli(capsys, ["canonical-b", "--alpha",
                                     str(math.pi / 2)])

@@ -110,15 +110,38 @@ class TestGridOracle:
         assert abs(sr.numerical_radius(t)
                    - sr.grid_radius(t, 1_000_000)) <= 1e-6
 
-    @pytest.mark.parametrize("n", [3, 4, 6])
-    def test_charpoly_route_matches_eigenvalues(self, n):
-        # same grid evaluated through the characteristic polynomial and
-        # through direct Hermitian eigenvalues
-        t = complex_gaussian((n, n))
+    @staticmethod
+    def unpruned(t, m):
         h, g = sr.cartesian_decompose(t)
-        m = 4096
-        direct = _support_values(h, g, 2 * math.pi * np.arange(m) / m).max()
-        assert sr.grid_radius(t, m) == pytest.approx(float(direct), abs=1e-11)
+        thetas = 2 * math.pi * np.arange(m) / m
+        return float(_support_values(h, g, thetas).max())
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6, 8, 9])
+    def test_charpoly_route_matches_eigenvalues(self, n):
+        # the pruned grid against direct Hermitian eigenvalues at every grid
+        # angle, at scales where an absolute floor or an underflow would show
+        t = complex_gaussian((n, n), philox(n))
+        for s in (1.0, 2.0 ** -70, 1e-20, 1e20):
+            assert sr.grid_radius(s * t, 4096) / s == pytest.approx(
+                self.unpruned(s * t, 4096) / s, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("case", ["decoy", "jordan"])
+    def test_hard_inputs_match_unpruned_grid(self, case):
+        # decoy: twelve eigenvalues of modulus 1 - 1e-6 on grid angles and
+        # the peak of modulus 1 half a step off the grid; jordan: W(T) is a
+        # disk centred at 0, so the support function is constant and no
+        # block may be skipped
+        m = 2 ** 16
+        if case == "decoy":
+            angles = 2 * math.pi / m * np.r_[5041 * np.arange(1, 13), 0.5]
+            moduli = np.r_[np.full(12, 1 - 1e-6), 1.0]
+            u = random_unitary(13, philox(13))
+            t = u.conj().T @ np.diag(moduli * np.exp(1j * angles)) @ u
+        else:
+            t = np.diag([1.0, 1.0], k=1)
+        n = t.shape[0]
+        bound = 8 * n * np.finfo(float).eps * np.linalg.norm(t)
+        assert abs(sr.grid_radius(t, m) - self.unpruned(t, m)) <= bound
 
     def test_large_matrix_fallback(self):
         t = complex_gaussian((9, 9))
