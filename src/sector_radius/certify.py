@@ -29,9 +29,8 @@ from .matcore import (
     operator_norm,
     similarity_invariants_2x2,
     top_right_singular_vectors,
-    unitary_completion,
 )
-from .extremal import canonical_b
+from .extremal import extremal_2x2
 from .numrange import (
     HALF_PI,
     _slopes,
@@ -230,7 +229,7 @@ def certify_extremal(t, alpha, tol_cert: float | None = None) -> CertificationRe
     tol_cert = float(tol_cert)
     if tol_cert <= 0.0:
         raise ParameterError(f"tolerance must be positive, got {tol_cert}")
-    norm = operator_norm(t)
+    norm, candidates = top_right_singular_vectors(t)
     if norm == 0.0:
         raise DegenerateError("cannot certify the zero matrix")
     tau_a = tau(alpha)
@@ -239,18 +238,13 @@ def certify_extremal(t, alpha, tol_cert: float | None = None) -> CertificationRe
         return CertificationReport(Verdict.NOT_IN_SECTOR, alpha, ratio, tau_a)
     if abs(ratio - tau_a) > tol_cert:
         return CertificationReport(Verdict.NOT_EXTREMAL, alpha, ratio, tau_a)
-    block = canonical_b(alpha)
-    reference = similarity_invariants_2x2(block.matrix / block.norm)
+    reference = similarity_invariants_2x2(extremal_2x2(alpha))
     t_norm = t / norm
-    _, candidates = top_right_singular_vectors(t)
-    report = None
     for x in candidates:
         report = _certify_with_vector(t_norm, x, alpha, ratio, tau_a,
                                       tol_cert, reference)
         if report.verdict is Verdict.EXTREMAL:
-            return report
-    if report is None:
-        raise DegenerateError("no norm-attaining vector found")
+            break
     return report
 
 
@@ -276,7 +270,8 @@ def _certify_with_vector(t_norm: np.ndarray, x: np.ndarray, alpha: float,
                                    attaining_vector=x,
                                    compression=compression,
                                    block_offdiag_norm=0.0, tail_radius=0.0)
-    full = unitary_completion(basis)
+    # Householder QR completes the orthonormal pair to a unitary frame.
+    full = np.hstack([basis, np.linalg.qr(basis, mode="complete")[0][:, 2:]])
     blocks = full.conj().T @ t_norm @ full
     offdiag = max(float(np.linalg.norm(blocks[:2, 2:], 2)),
                   float(np.linalg.norm(blocks[2:, :2], 2)))

@@ -111,16 +111,10 @@ def _cmd_extremal(args) -> int:
 
 def _cmd_canonical_b(args) -> int:
     block = canonical_b(args.alpha)
-    doc = matrix_document(block.matrix)
-    payload = {
-        "matrix": doc,
+    _emit_matrix(args, block.matrix, extra={
         "attaining_vector": [float(v) for v in block.vector.real],
         "norm": block.norm,
-    }
-    if args.out is not None and args.out != "-":
-        write_text(args.out, to_json(doc) + "\n")
-        payload.pop("matrix")
-    _print_json(payload)
+    })
     return 0
 
 

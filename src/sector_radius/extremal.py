@@ -20,7 +20,6 @@ from .matcore import cartesian_decompose, commutant_dimension, operator_norm
 from .numrange import numerical_radius, validate_sector_angle
 
 CHAIN_COUPLING_MAX = 1.0 / math.sqrt(45.0)
-_REDUCIBLE = "commutant dimension != 1 (unitarily reducible)"
 
 
 @dataclass(frozen=True)
@@ -226,7 +225,7 @@ def _chain_postconditions(t: np.ndarray, n: int, epsilon: float,
     if lam_min < -atol:
         return f"Hermitian part not PSD (lambda_min = {lam_min})"
     if commutant_dimension(t) != 1:
-        return _REDUCIBLE
+        return "commutant dimension != 1 (unitarily reducible)"
     for k, x in zip(range(4, n + 1), chain_eigenvectors(n, epsilon)):
         resid = float(np.linalg.norm(t.conj().T @ x - epsilon ** (k - 3) * x))
         if resid > atol * float(np.linalg.norm(x)):
@@ -239,14 +238,14 @@ def irreducible_family(n, d, epsilon=None) -> tuple[np.ndarray, float]:
 
     The head is the 3x3 family at the boundary b1 = 3d^2/2, b2 = 0, with
     requirement 0 < d < 1/sqrt(45); a geometric chain of strength epsilon
-    couples in the remaining coordinates.  When ``epsilon`` is not given, a
-    valid value is found by starting from a conservative feasibility seed
-    and halving until the construction's postconditions (unit norm, radius
-    1/sqrt(2), PSD Hermitian part, trivial commutant, adjoint
-    eigen-relations) all hold.  A failed commutant test raises at once:
-    halving epsilon only weakens the chain's coupling.
+    couples in the remaining coordinates.  When ``epsilon`` is not given it
+    is half the headroom of the 3x3 feasibility inequality, capped at 0.1.
+    The construction's postconditions (unit norm, radius 1/sqrt(2), PSD
+    Hermitian part, trivial commutant, adjoint eigen-relations) are checked
+    once, and a failure raises `ConstructionError`; no other epsilon is
+    tried, since a smaller one only weakens the chain's coupling.
 
-    Returns the matrix together with the epsilon actually used.
+    Returns the matrix together with the epsilon used.
     """
     n = int(n)
     if n < 4:
@@ -256,30 +255,18 @@ def irreducible_family(n, d, epsilon=None) -> tuple[np.ndarray, float]:
         raise ParameterError(
             f"d must lie in (0, 1/sqrt(45)) = (0, {CHAIN_COUPLING_MAX:.7f}), "
             f"got {d}")
-    if epsilon is not None:
+    if epsilon is None:
+        # At b1 = 3d^2/2 the feasibility inequality reads
+        # 18 d^2 + sqrt(2) (13.5 d^2 + eps) <= 1.
+        headroom = (1.0 - 18.0 * d * d) / math.sqrt(2.0) - 13.5 * d * d
+        eps = min(0.1, headroom / 2.0)
+    else:
         eps = float(epsilon)
         if not (0.0 < eps < 1.0):
             raise ParameterError(f"epsilon must lie in (0, 1), got {eps}")
-        t = chain_matrix(n, d, eps)
-        failure = _chain_postconditions(t, n, eps)
-        if failure is not None:
-            raise ConstructionError(
-                f"epsilon = {eps} does not satisfy the postconditions: "
-                f"{failure}")
-        return t, eps
-    # Seed: half the headroom left in the 3x3 feasibility inequality at
-    # b1 = 3d^2/2 (where it reads 18 d^2 + sqrt(2) (13.5 d^2 + eps) <= 1),
-    # capped at 0.1.
-    headroom = (1.0 - 18.0 * d * d) / math.sqrt(2.0) - 13.5 * d * d
-    eps = min(0.1, headroom / 2.0)
-    for _ in range(60):
-        t = chain_matrix(n, d, eps)
-        failure = _chain_postconditions(t, n, eps)
-        if failure is None:
-            return t, eps
-        if failure == _REDUCIBLE:
-            raise ConstructionError(
-                f"{failure} at epsilon = {eps} (n = {n}, d = {d})")
-        eps /= 2.0
-    raise ConstructionError(
-        f"no valid epsilon found after 60 halvings (n = {n}, d = {d})")
+    t = chain_matrix(n, d, eps)
+    failure = _chain_postconditions(t, n, eps)
+    if failure is not None:
+        raise ConstructionError(
+            f"{failure} at epsilon = {eps} (n = {n}, d = {d})")
+    return t, eps

@@ -31,8 +31,10 @@ def as_square_matrix(a, name: str = "matrix") -> np.ndarray:
 
 
 def matrix_scale(t: np.ndarray) -> float:
-    """Scale used for relative tolerances: the Frobenius norm."""
-    return float(np.linalg.norm(t))
+    """Scale used for relative tolerances: the Frobenius norm, taken of
+    ``t / binary_scale(t)`` so that it neither under- nor overflows."""
+    s = binary_scale(t)
+    return s * float(np.linalg.norm(t / s))
 
 
 class CartesianPair(NamedTuple):
@@ -43,11 +45,15 @@ class CartesianPair(NamedTuple):
 
 
 def cartesian_decompose(t) -> CartesianPair:
-    """Split T into its Hermitian part H = (T+T*)/2 and G = i(T*-T)/2."""
+    """Split T into its Hermitian part H = (T+T*)/2 and G = i(T*-T)/2.
+
+    Both halve before they add, so entries near the overflow threshold
+    stay finite.
+    """
     t = as_square_matrix(t)
     th = t.conj().T
-    h = (t + th) / 2.0
-    g = 1j * (th - t) / 2.0
+    h = t / 2.0 + th / 2.0
+    g = 1j * (th / 2.0 - t / 2.0)
     return CartesianPair(h, g)
 
 
@@ -125,6 +131,7 @@ def commutant_dimension(t) -> int:
     whose singular values up to ``COMMUTANT_RTOL * n * scale`` are zero.
     """
     t = as_square_matrix(t)
+    t = t / binary_scale(t)  # exact; keeps scale * scale below overflow
     n = t.shape[0]
     h, g = cartesian_decompose(t)
     scale = matrix_scale(t)
@@ -167,7 +174,7 @@ def binary_scale(a: np.ndarray) -> float:
     squares and products of entries stay normal and finite; otherwise the
     largest normal power of two not above it.  Dividing by it is exact.
     """
-    e = math.frexp(float(np.max(np.abs(a))))[1]
+    e = math.frexp(float(np.abs(a).max()))[1]
     return 1.0 if abs(e) <= 500 else math.ldexp(1.0, max(e - 1, -1022))
 
 
@@ -211,18 +218,3 @@ def invariants_close(x: SimilarityInvariants2x2, y: SimilarityInvariants2x2,
             and abs(x.determinant - y.determinant) <= atol
             and abs(x.frobenius_sq - y.frobenius_sq) <= atol)
 
-
-def unitary_completion(cols: np.ndarray) -> np.ndarray:
-    """Extend orthonormal columns to a full unitary matrix, deterministically.
-
-    The complement is the span of the eigenvectors of the orthogonal
-    projector I - QQ* with eigenvalue 1.
-    """
-    cols = np.asarray(cols, dtype=np.complex128)
-    n, k = cols.shape
-    if k >= n:
-        return cols
-    proj = np.eye(n) - cols @ cols.conj().T
-    w, v = np.linalg.eigh((proj + proj.conj().T) / 2.0)
-    rest = _phase_normalize(v[:, w > 0.5])
-    return np.hstack([cols, rest])

@@ -39,25 +39,33 @@ def validate_sector_angle(alpha) -> float:
     return min(max(a, 0.0), HALF_PI)
 
 
-def _support_values(h: np.ndarray, g: np.ndarray, thetas) -> np.ndarray:
-    """Largest eigenvalue of cos(t) H + sin(t) G for every angle in `thetas`."""
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=np.float64))
-    n = h.shape[0]
+def _pencils(h: np.ndarray, g: np.ndarray, thetas: np.ndarray):
+    """Yield (slice, cos(t) H + sin(t) G over the angles in that slice),
+    in batches of about 10^6 entries so memory stays flat in the count."""
     ct = np.cos(thetas)
     st = np.sin(thetas)
-    if n == 1:
-        return ct * h[0, 0].real + st * g[0, 0].real
-    if n == 2:
+    step = max(1, 1_000_000 // h.size)
+    for lo in range(0, thetas.size, step):
+        sl = slice(lo, lo + step)
+        mats = ct[sl, None, None] * h
+        mats += st[sl, None, None] * g
+        yield sl, mats
+
+
+def _support_values(h: np.ndarray, g: np.ndarray, thetas) -> np.ndarray:
+    """Largest eigenvalue of cos(t) H + sin(t) G for every angle in `thetas`
+    (n >= 2)."""
+    thetas = np.atleast_1d(np.asarray(thetas, dtype=np.float64))
+    if h.shape[0] == 2:
         # Closed form for the top eigenvalue of a 2x2 Hermitian matrix.
+        ct = np.cos(thetas)
+        st = np.sin(thetas)
         a = ct * h[0, 0].real + st * g[0, 0].real
         d = ct * h[1, 1].real + st * g[1, 1].real
         off = ct * h[0, 1] + st * g[0, 1]
         return (a + d) / 2.0 + np.hypot((a - d) / 2.0, np.abs(off))
     out = np.empty(thetas.shape)
-    chunk = max(1, 4_000_000 // (n * n))
-    for lo in range(0, thetas.size, chunk):
-        sl = slice(lo, min(lo + chunk, thetas.size))
-        mats = ct[sl, None, None] * h + st[sl, None, None] * g
+    for sl, mats in _pencils(h, g, thetas):
         out[sl] = np.linalg.eigvalsh(mats)[..., -1]
     return out
 
@@ -83,15 +91,9 @@ def support_value(t, theta) -> BoundarySample:
 
 def _boundary_samples(t: np.ndarray, thetas) -> list[BoundarySample]:
     """Support value and Rayleigh boundary point at every angle in `thetas`."""
-    n = t.shape[0]
     h, g = cartesian_decompose(t)
-    ct = np.cos(thetas)
-    st = np.sin(thetas)
     out: list[BoundarySample] = []
-    chunk = max(1, 2_000_000 // (n * n))
-    for lo in range(0, thetas.size, chunk):
-        sl = slice(lo, min(lo + chunk, thetas.size))
-        mats = ct[sl, None, None] * h + st[sl, None, None] * g
+    for sl, mats in _pencils(h, g, thetas):
         w, v = np.linalg.eigh(mats)
         top = v[..., -1]
         pts = np.einsum("ki,ij,kj->k", top.conj(), t, top)

@@ -85,6 +85,17 @@ def test_overflowing_result_exit_one(capsys, monkeypatch):
     assert "not finite" in err
 
 
+def test_radius_near_overflow(capsys, monkeypatch):
+    # T + T* overflows here, but (T + T*) / 2 and w(T) are representable
+    big = '[1e308, 0]'
+    doc = f'{{"n": 2, "entries": [[{big}, {big}], [[0, 0], [0, 0]]]}}'
+    code, out, _ = run_cli(capsys, ["radius", "--in", "-"], stdin=doc,
+                           monkeypatch=monkeypatch)
+    assert code == 0
+    assert json.loads(out)["w"] == pytest.approx(
+        1e308 * ((1 + math.sqrt(2)) / 2), rel=1e-14)
+
+
 def test_boolean_entries_exit_two(capsys, monkeypatch):
     code, out, err = run_cli(capsys, ["radius", "--in", "-"],
                              stdin='{"n": 1, "entries": [[[true, false]]]}',
@@ -186,6 +197,30 @@ def test_canonical_b_command(capsys):
         [math.sqrt(3) / 2, 0.5], abs=1e-12)
     entries = payload["matrix"]["entries"]
     assert entries[0][0][0] == pytest.approx(2 / math.sqrt(3), abs=1e-12)
+
+
+def test_canonical_b_command_out_file(tmp_path, capsys):
+    path = tmp_path / "b.json"
+    code, out, _ = run_cli(capsys, ["canonical-b", "--alpha",
+                                    str(math.pi / 2), "--out", str(path)])
+    assert code == 0
+    np.testing.assert_allclose(parse_matrix_document(path.read_text()),
+                               sr.canonical_b(math.pi / 2).matrix, atol=1e-15)
+    payload = json.loads(out)
+    assert sorted(payload) == ["attaining_vector", "norm"]
+    assert payload["norm"] == pytest.approx(math.sqrt(3), abs=1e-12)
+
+
+def test_canonical_b_command_out_stdout(capsys):
+    # like every matrix-emitting command: the document line, then the
+    # extra fields
+    code, out, _ = run_cli(capsys, ["canonical-b", "--alpha",
+                                    str(math.pi / 2), "--out", "-"])
+    assert code == 0
+    doc, extra = out.splitlines()
+    np.testing.assert_allclose(parse_matrix_document(doc),
+                               sr.canonical_b(math.pi / 2).matrix, atol=1e-15)
+    assert sorted(json.loads(extra)) == ["attaining_vector", "norm"]
 
 
 def test_r_family_command(tmp_path, capsys):

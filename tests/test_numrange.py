@@ -410,9 +410,10 @@ class TestSectorInvariance:
                     == sr.sector_contains(t, alpha))
 
     @PROPERTY
-    @given(SECTOR_INPUTS, POWERS_OF_TWO)
-    def test_scaling(self, t, k):
-        self.assert_same_sector(t, 2.0 ** k * t)
+    @given(SECTOR_INPUTS, st.one_of(POWERS_OF_TWO.map(lambda k: 2.0 ** k),
+                                    st.sampled_from([1e-200, 1e200])))
+    def test_scaling(self, t, factor):
+        self.assert_same_sector(t, factor * t)
 
     @PROPERTY
     @given(SECTOR_INPUTS, SEEDS)
