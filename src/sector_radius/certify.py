@@ -22,21 +22,19 @@ from .errors import DegenerateError, MatrixShapeError, ParameterError
 from .matcore import (
     as_square_matrix,
     binary_scale,
-    cartesian_decompose,
     eigenvalues_2x2,
     invariants_close,
-    matrix_scale,
     operator_norm,
     similarity_invariants_2x2,
     top_right_singular_vectors,
 )
-from .extremal import extremal_2x2
+from .extremal import extremal_2x2, r_alpha_matrix
 from .numrange import (
     HALF_PI,
-    _slopes,
     min_sector_angle,
     numerical_radius,
     sector_contains,
+    support_value,
     validate_sector_angle,
 )
 
@@ -84,14 +82,18 @@ def canonical_family_test(a, alpha) -> RecoveredForm | None:
     """Membership of A (or A*) in the touching family for the sector.
 
     Members have positive real determinant and, after determinant
-    normalization, are unitarily similar to
-    [[r e^{i theta}, 2c], [0, e^{-i theta}/r]] with r >= 1,
-    theta in [0, alpha], c = sqrt(sin(alpha)^2 - sin(theta)^2); their
-    numerical range lies in the sector and touches both boundary rays at
-    nonzero points.  For alpha < pi/2 this is decided by the Hermitian part
-    being positive definite with the eigenvalues of H^{-1/2} G H^{-1/2}
-    equal to +-tan(alpha); at alpha = pi/2 (where H is singular) by the
-    complete 2x2 unitary-similarity invariants.
+    normalization, are unitarily similar to r_alpha_matrix(r, theta, alpha)
+    = [[r e^{i theta}, 2c], [0, e^{-i theta}/r]] with r >= 1, theta in
+    [0, alpha] and c = sqrt(sin(alpha)^2 - sin(theta)^2); their numerical
+    range lies in the sector and touches both boundary rays.  One test
+    serves every alpha, all within ``FAMILY_ATOL`` on the normalized
+    matrix A0: (r, theta) come from its eigenvalue of larger modulus, its
+    invariant triple (trace, determinant, tr(A0*A0)), which decides 2x2
+    unitary similarity, must match that of the rebuilt member (of its
+    adjoint when the eigenvalue lies below the real axis), and its
+    support values at the outward normals of both rays must vanish.  Near
+    theta = alpha = pi/2 the triple sees the off-diagonal entry only
+    through its square; the support values see it linearly.
 
     Returns the recovered (r, theta), or None if A is not a member.
     """
@@ -99,49 +101,25 @@ def canonical_family_test(a, alpha) -> RecoveredForm | None:
     if a.shape != (2, 2):
         raise MatrixShapeError(f"expected a 2x2 matrix, got {a.shape}")
     alpha = validate_sector_angle(alpha)
-    atol = tol.FAMILY_ATOL
     a = a / binary_scale(a)
     det = complex(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
-    if det.real <= 0.0 or abs(det.imag) > atol * abs(det):
+    if det.real <= 0.0:
         return None
     a0 = a / math.sqrt(det.real)
-    cut = tol.PSD_RTOL * matrix_scale(a0)
-    h, g = cartesian_decompose(a0)
-    w, v = np.linalg.eigh(h)
-    if alpha < HALF_PI - 1e-12:
-        if w[0] <= cut:
-            return None
-        ew = _slopes(g, w, v)
-        target = math.tan(alpha)
-        if abs(ew[0] + target) > atol or abs(ew[-1] - target) > atol:
-            return None
-        return _recover_form(a0, alpha)
-    # Half-plane sector: H is positive semidefinite but singular on the
-    # family, so fall back to the complete invariant triple.
-    if w[0] < -cut:
+    lam = max(eigenvalues_2x2(a0), key=abs)
+    theta = min(abs(math.atan2(lam.imag, lam.real)), alpha)
+    form = RecoveredForm(max(abs(lam), 1.0), theta)
+    member = r_alpha_matrix(form.r, form.theta, alpha)
+    if lam.imag < 0.0:
+        member = member.conj().T
+    if not invariants_close(similarity_invariants_2x2(a0),
+                            similarity_invariants_2x2(member),
+                            tol.FAMILY_ATOL):
         return None
-    form = _recover_form(a0, alpha)
-    if form is None:
-        return None
-    c_expected = math.sqrt(max(
-        math.sin(alpha) ** 2 - math.sin(form.theta) ** 2, 0.0))
-    fro2 = float(np.sum(np.abs(a0) ** 2))
-    c_sq = (fro2 - form.r ** 2 - 1.0 / form.r ** 2) / 4.0
-    c_found = math.sqrt(max(c_sq, 0.0))
-    if abs(c_found - c_expected) > atol:
+    if any(abs(support_value(a0, phi).support_value) > tol.FAMILY_ATOL
+           for phi in (HALF_PI + alpha, -HALF_PI - alpha)):
         return None
     return form
-
-
-def _recover_form(a0: np.ndarray, alpha: float) -> RecoveredForm | None:
-    """(r, theta) from the eigenvalues of the normalized matrix."""
-    lam1, lam2 = eigenvalues_2x2(a0)
-    lam = lam1 if abs(lam1) >= abs(lam2) else lam2
-    r = abs(lam)
-    theta = abs(math.atan2(lam.imag, lam.real))
-    if theta > alpha + tol.FAMILY_ATOL:
-        return None
-    return RecoveredForm(max(r, 1.0), min(theta, alpha))
 
 
 def compression_2x2(t, x) -> np.ndarray:
@@ -227,8 +205,9 @@ def certify_extremal(t, alpha, tol_cert: float | None = None) -> CertificationRe
     if tol_cert is None:
         tol_cert = tol.default_certify_tol()
     tol_cert = float(tol_cert)
-    if tol_cert <= 0.0:
-        raise ParameterError(f"tolerance must be positive, got {tol_cert}")
+    if not math.isfinite(tol_cert) or tol_cert <= 0.0:
+        raise ParameterError(
+            f"tolerance must be finite and positive, got {tol_cert}")
     norm, candidates = top_right_singular_vectors(t)
     if norm == 0.0:
         raise DegenerateError("cannot certify the zero matrix")

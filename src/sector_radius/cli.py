@@ -162,6 +162,8 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise UsageError(f"--seed must be nonnegative, got {args.seed}")
     text, code = run_verify(args.seed)
     sys.stdout.write(text)
     return code

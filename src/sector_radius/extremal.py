@@ -112,7 +112,7 @@ def r_alpha_matrix(r, theta, alpha) -> np.ndarray:
     if not math.isfinite(r) or r < 1.0 - 1e-12:
         raise ParameterError(f"r must be >= 1, got {r}")
     r = max(r, 1.0)
-    if theta < -1e-12 or theta > alpha + 1e-12:
+    if not -1e-12 <= theta <= alpha + 1e-12:
         raise ParameterError(
             f"theta must lie in [0, alpha] = [0, {alpha}], got {theta}")
     theta = min(max(theta, 0.0), alpha)

@@ -7,10 +7,12 @@ cos(theta) H + sin(theta) G where T = H + iG, and the numerical radius
 w(T) is the maximum of the support function over all directions.
 
 This module computes support values and boundary samples, the numerical
-radius (grid scan plus golden-section refinement), the exact elliptical
-range of 2x2 matrices, sector containment tests, and the minimal sector
-half-angle containing W(T).  A brute-force uniform-grid radius
-(`grid_radius`) is provided as an independent cross-check.
+radius (grid scan plus golden-section refinement) and the exact elliptical
+range of 2x2 matrices.  Sector containment reads the support function at
+the outward normals of the sector's two rays and at pi; the minimal
+sector half-angle is arctan of the spectral radius of G under the
+congruence that turns H into the identity on its range.  A brute-force
+uniform-grid radius (`grid_radius`) is an independent cross-check.
 """
 
 from __future__ import annotations
@@ -39,17 +41,19 @@ def validate_sector_angle(alpha) -> float:
     return min(max(a, 0.0), HALF_PI)
 
 
-def _pencils(h: np.ndarray, g: np.ndarray, thetas: np.ndarray):
-    """Yield (slice, cos(t) H + sin(t) G over the angles in that slice),
-    in batches of about 10^6 entries so memory stays flat in the count."""
-    ct = np.cos(thetas)
-    st = np.sin(thetas)
+def _batches(h: np.ndarray, thetas: np.ndarray):
+    """Slices of `thetas` whose pencils hold about 10^6 entries, so memory
+    stays flat in the number of angles."""
     step = max(1, 1_000_000 // h.size)
-    for lo in range(0, thetas.size, step):
-        sl = slice(lo, lo + step)
-        mats = ct[sl, None, None] * h
-        mats += st[sl, None, None] * g
-        yield sl, mats
+    return (slice(lo, lo + step) for lo in range(0, thetas.size, step))
+
+
+def _pencil(h: np.ndarray, g: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """cos(t) H + sin(t) G for every angle in `thetas`, stacked.  Callers
+    pass it straight to an eigensolver, so no batch outlives the next."""
+    mats = np.cos(thetas)[:, None, None] * h
+    mats += np.sin(thetas)[:, None, None] * g
+    return mats
 
 
 def _support_values(h: np.ndarray, g: np.ndarray, thetas) -> np.ndarray:
@@ -65,8 +69,8 @@ def _support_values(h: np.ndarray, g: np.ndarray, thetas) -> np.ndarray:
         off = ct * h[0, 1] + st * g[0, 1]
         return (a + d) / 2.0 + np.hypot((a - d) / 2.0, np.abs(off))
     out = np.empty(thetas.shape)
-    for sl, mats in _pencils(h, g, thetas):
-        out[sl] = np.linalg.eigvalsh(mats)[..., -1]
+    for sl in _batches(h, thetas):
+        out[sl] = np.linalg.eigvalsh(_pencil(h, g, thetas[sl]))[..., -1]
     return out
 
 
@@ -93,8 +97,8 @@ def _boundary_samples(t: np.ndarray, thetas) -> list[BoundarySample]:
     """Support value and Rayleigh boundary point at every angle in `thetas`."""
     h, g = cartesian_decompose(t)
     out: list[BoundarySample] = []
-    for sl, mats in _pencils(h, g, thetas):
-        w, v = np.linalg.eigh(mats)
+    for sl in _batches(h, thetas):
+        w, v = np.linalg.eigh(_pencil(h, g, thetas[sl]))
         top = v[..., -1]
         pts = np.einsum("ki,ij,kj->k", top.conj(), t, top)
         for i in range(w.shape[0]):
@@ -231,10 +235,13 @@ def ellipse_support_point(desc: EllipseDescriptor, theta: float) -> complex:
     """Point of the ellipse whose outward normal is e^{i theta}.
 
     Closed form; serves as an analytic cross-check for `boundary_points`
-    on 2x2 matrices.
+    on 2x2 matrices.  The axes are divided by ``binary_scale`` first, so
+    their squares stay normal at any scale; the support norm is then at
+    least a |cos(theta - psi)| > 0, even on a segment.
     """
-    a = desc.semi_major
-    b = desc.semi_minor
+    s = binary_scale(desc.semi_major)
+    a = desc.semi_major / s
+    b = desc.semi_minor / s
     if a == 0.0:
         return desc.center
     psi = desc.axis_phase
@@ -242,11 +249,7 @@ def ellipse_support_point(desc: EllipseDescriptor, theta: float) -> complex:
     nx = math.cos(delta)
     ny = math.sin(delta)
     hnorm = math.hypot(a * nx, b * ny)
-    if hnorm < 1e-300:
-        # Degenerate segment supported along its own direction: the whole
-        # segment maximizes, the midpoint is a valid representative.
-        return desc.center
-    local = complex(a * a * nx / hnorm, b * b * ny / hnorm)
+    local = complex(a * a * nx / hnorm, b * b * ny / hnorm) * s
     return desc.center + complex(math.cos(psi), math.sin(psi)) * local
 
 
@@ -258,74 +261,45 @@ def ellipse_radius(desc: EllipseDescriptor) -> float:
 
 
 def sector_contains(t, alpha) -> bool:
-    """Is W(T) inside the sector {a+ib : |b| <= a tan(alpha)}?
+    """Is W(T) inside the sector S(alpha) = {a+ib : |b| <= a tan(alpha)}?
 
-    Equivalent to both sin(alpha) H + cos(alpha) G and
-    sin(alpha) H - cos(alpha) G being positive semidefinite; for
-    alpha = pi/2 this reduces to H being positive semidefinite.
-    Eigenvalues above ``-PSD_RTOL * ||T||_F`` count as nonnegative, because
-    extremal matrices touch the sector boundary exactly.
+    A convex set lies in S(alpha) exactly when its support function is
+    nonpositive at the outward normals pi/2 + alpha and -pi/2 - alpha of
+    the two boundary rays and at pi, which matters only at alpha = 0,
+    where the rays coincide.  Support values up to ``PSD_RTOL * ||T||_F``
+    count as nonpositive, because extremal matrices touch the sector
+    boundary exactly.
     """
     t = as_square_matrix(t)
     alpha = validate_sector_angle(alpha)
     h, g = cartesian_decompose(t)
-    cut = -tol.PSD_RTOL * matrix_scale(t)
-    if alpha == 0.0 and float(np.linalg.eigvalsh(h)[0]) < cut:
-        # the degenerate sector is the nonnegative real axis; the +-G
-        # conditions below only force G = 0 there
-        return False
-    sa = math.sin(alpha)
-    ca = math.cos(alpha)
-    for sign in (1.0, -1.0):
-        m = sa * h + sign * ca * g
-        if float(np.linalg.eigvalsh(m)[0]) < cut:
-            return False
-    return True
+    normals = np.array([HALF_PI + alpha, -HALF_PI - alpha, math.pi])
+    return bool(_support_values(h, g, normals).max()
+                <= tol.PSD_RTOL * matrix_scale(t))
 
 
 def min_sector_angle(t) -> float | None:
     """Smallest alpha with W(T) inside the sector of half-angle alpha.
 
-    Returns None when no sector of the right half-plane contains W(T)
-    (i.e. the Hermitian part is not positive semidefinite).  For positive
-    definite H the answer is arctan of the spectral radius of
-    H^{-1/2} G H^{-1/2}; a singular positive semidefinite H forces pi/2
-    as soon as G acts nontrivially on ker H, and otherwise the kernel
-    splits off and the complement is examined recursively.
+    Returns None when no sector contains W(T), i.e. when lambda_min(H) <
+    ``-PSD_RTOL * ||T||_F``.  Eigenvectors K of H with eigenvalues up to
+    that cut span its kernel; when an entry of G K exceeds the cut, the
+    slope <Gx, x> / <Hx, x> is unbounded over W(T) and the answer is pi/2.
+    Otherwise the slopes are the Rayleigh quotients of R* G R, where
+    R = V_+ / sqrt(w_+) holds the remaining eigenpairs of H, and the
+    answer is arctan of its spectral radius (0 when H vanishes).
     """
     t = as_square_matrix(t)
-    scale = matrix_scale(t)
-    if scale == 0.0:
-        return 0.0
-    return _min_sector_angle(t, scale)
-
-
-def _min_sector_angle(t: np.ndarray, scale: float) -> float | None:
     h, g = cartesian_decompose(t)
+    cut = tol.PSD_RTOL * matrix_scale(t)
     w, v = np.linalg.eigh(h)
-    cut = tol.PSD_RTOL * scale
     if w[0] < -cut:
         return None
-    kernel = w <= cut
-    if not kernel.any():
-        return math.atan(float(np.max(np.abs(_slopes(g, w, v)))))
-    if kernel.all():
-        return 0.0 if float(np.linalg.norm(g, 2)) <= cut else HALF_PI
-    k = v[:, kernel]
-    q = v[:, ~kernel]
-    gk = g @ k
-    if (float(np.linalg.norm(k.conj().T @ gk, 2)) > cut
-            or float(np.linalg.norm(q.conj().T @ gk, 2)) > cut):
+    if np.abs(g @ v[:, w <= cut]).max(initial=0.0) > cut:
         return HALF_PI
-    return _min_sector_angle(q.conj().T @ t @ q, scale)
-
-
-def _slopes(g: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of H^{-1/2} G H^{-1/2}, given eigh(H) = (w, v)
-    with w > 0: the extremes are the least and greatest slope b/a on W(T)."""
-    inv_root = (v / np.sqrt(w)) @ v.conj().T
-    prod = inv_root @ g @ inv_root
-    return np.linalg.eigvalsh((prod + prod.conj().T) / 2.0)
+    r = v[:, w > cut] / np.sqrt(w[w > cut])
+    slopes = np.linalg.eigvalsh(r.conj().T @ g @ r)
+    return math.atan(float(np.max(np.abs(slopes), initial=0.0)))
 
 
 # ---------------------------------------------------------------------------

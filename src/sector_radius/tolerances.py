@@ -1,11 +1,14 @@
-"""Numerical tolerances, kept in one place.
+"""Named numerical tolerances shared across the library.
 
-All thresholds used by the library live here so they can be audited and,
-where meaningful, overridden.  ``SECTOR_RADIUS_TOL`` in the environment
-changes the default certification tolerance; an explicit ``tol`` argument
-(or ``--tol`` on the command line) wins over the environment.
+The named tolerances live here so they can be audited and, where
+meaningful, overridden.  Local guards (1e-12 slacks on parameter ranges,
+unit-vector and direction checks, rounding slacks and clamps, the
+acceptance criteria's bounds) stay beside their code.  The environment
+variable ``SECTOR_RADIUS_TOL`` changes the default certification
+tolerance; an explicit ``tol`` argument (or ``--tol``) wins over it.
 """
 
+import math
 import os
 
 from .errors import UsageError
@@ -52,6 +55,7 @@ def default_certify_tol() -> float:
     except ValueError as exc:
         raise UsageError(
             f"{TOL_ENV_VAR} must be a positive real, got {raw!r}") from exc
-    if value <= 0:
-        raise UsageError(f"{TOL_ENV_VAR} must be positive, got {value}")
+    if not math.isfinite(value) or value <= 0:
+        raise UsageError(
+            f"{TOL_ENV_VAR} must be finite and positive, got {value}")
     return value

@@ -28,7 +28,7 @@ def philox(seed):
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
 SEEDS = st.integers(0, 2 ** 32 - 1)
 POWERS_OF_TWO = st.integers(-60, 60)
-SECTOR_ANGLES = st.sampled_from([0.3, 0.9, 1.4, math.pi / 2])
+SECTOR_ANGLES = st.sampled_from([0.3, 0.9, 1.4, 1.5704, math.pi / 2])
 
 
 def direct_sum(*blocks):
@@ -119,6 +119,43 @@ class TestCanonicalFamilyTest:
         assert form is not None
         assert form.r == pytest.approx(1.0, abs=1e-10)
         assert form.theta == pytest.approx(alpha, abs=1e-10)
+
+    @pytest.mark.parametrize("variant", ["plain", "conjugated", "adjoint"])
+    def test_member_near_half_plane(self, variant):
+        # H is nearly singular and tan(alpha) is about 2.7e3, so the slopes
+        # of H^{-1/2} G H^{-1/2} cannot be matched to +-tan(alpha) in 1e-8
+        alpha = 1.5704
+        a = sr.r_alpha_matrix(1.7, 0.9, alpha)
+        if variant == "conjugated":
+            u = random_unitary(2, philox(3))
+            a = u.conj().T @ a @ u
+        elif variant == "adjoint":
+            a = a.conj().T
+        form = sr.canonical_family_test(a, alpha)
+        assert form is not None
+        assert form.r == pytest.approx(1.7, abs=1e-8)
+        assert form.theta == pytest.approx(0.9, abs=1e-8)
+
+    def test_corner_theta_equals_alpha(self):
+        # c = 0: the member is normal, and c recovered from tr(A*A) reads
+        # about 2e-8 from rounding alone
+        a = sr.r_alpha_matrix(2.5, 1.2, 1.2)
+        u = random_unitary(2, philox(8))
+        for b in (a, u.conj().T @ a @ u, a.conj().T):
+            form = sr.canonical_family_test(b, 1.2)
+            assert form is not None
+            assert form.r == pytest.approx(2.5, abs=1e-8)
+            assert form.theta == pytest.approx(1.2, abs=1e-8)
+
+    @pytest.mark.parametrize("factor,shift", [(0.5, 0.0), (1.0, 2e-5)])
+    def test_half_plane_corner_non_member(self, factor, shift):
+        # near theta = alpha = pi/2 the off-diagonal entry 2c changes
+        # tr(A*A) only quadratically, so eigenvalues and the invariant
+        # triple still match while W(A) misses or crosses the imaginary
+        # axis by about 1e-5; the support values at the ray normals see it
+        a = sr.r_alpha_matrix(1.5, math.pi / 2 - 3e-5, math.pi / 2)
+        a[0, 1] = factor * a[0, 1] + shift
+        assert sr.canonical_family_test(a, math.pi / 2) is None
 
     def test_identity_not_member(self):
         assert sr.canonical_family_test(np.eye(2), math.pi / 4) is None
@@ -261,8 +298,9 @@ class TestCertifyExtremal:
             sr.certify_extremal(np.eye(2), 0.0)
         with pytest.raises(sr.DegenerateError):
             sr.certify_extremal(np.zeros((2, 2)), 1.0)
-        with pytest.raises(sr.ParameterError):
-            sr.certify_extremal(np.eye(2), 1.0, tol_cert=-1.0)
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(sr.ParameterError):
+                sr.certify_extremal(np.eye(2), 1.0, tol_cert=bad)
 
     def test_report_carries_attaining_vector(self):
         alpha = 0.7

@@ -291,6 +291,41 @@ def test_bad_env_tolerance_exit_two(tmp_path, capsys, monkeypatch):
     assert "SECTOR_RADIUS_TOL" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_env_tolerance_exit_two(tmp_path, capsys, monkeypatch,
+                                           value):
+    path = tmp_path / "m.json"
+    path.write_text(to_json(matrix_document([[0.6, 0.5], [0, 0.6]])))
+    monkeypatch.setenv("SECTOR_RADIUS_TOL", value)
+    code, out, err = run_cli(capsys, ["certify", "--in", str(path),
+                                      "--alpha", "1.0"])
+    assert (code, out) == (2, "")
+    assert "SECTOR_RADIUS_TOL" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_tol_flag_exit_one(tmp_path, capsys, value):
+    path = tmp_path / "m.json"
+    path.write_text(SHIFT_DOC)
+    code, out, err = run_cli(capsys, ["certify", "--in", str(path),
+                                      "--alpha", "1.0", "--tol", value])
+    assert (code, out) == (1, "")
+    assert "tolerance" in err
+
+
+def test_verify_negative_seed_exit_two(capsys):
+    code, out, err = run_cli(capsys, ["verify", "--seed", "-1"])
+    assert (code, out) == (2, "")
+    assert "--seed" in err
+
+
+def test_r_family_nan_theta_exit_one(capsys):
+    code, out, err = run_cli(capsys, ["r-family", "--r", "1.5", "--theta",
+                                      "nan", "--alpha", "0.7"])
+    assert (code, out) == (1, "")
+    assert "theta" in err
+
+
 def test_matrix_document_round_trip_exact():
     rng = np.random.default_rng(np.random.Philox(11))
     t = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))

@@ -151,6 +151,8 @@ class TestRAlphaMatrix:
             sr.r_alpha_matrix(0.9, 0.0, 1.0)
         with pytest.raises(sr.ParameterError):
             sr.r_alpha_matrix(1.5, 0.7, 0.5)
+        with pytest.raises(sr.ParameterError, match="theta"):
+            sr.r_alpha_matrix(1.5, math.nan, 0.5)
 
     @pytest.mark.parametrize("r", [1.1, 1.5, 2.0, 5.0])
     @pytest.mark.parametrize("alpha", [math.pi / 6, math.pi / 4, math.pi / 3])

@@ -220,12 +220,16 @@ class TestEllipse2x2:
                 sr.numerical_radius(t), abs=1e-8)
 
     def test_support_points_on_ellipse(self):
+        # at 1e-300 the squared axes underflow unless they are rescaled,
+        # and an absolute cut on the support norm would return the centre
         for _ in range(10):
             t = complex_gaussian((2, 2))
-            desc = sr.ellipse_2x2(t)
-            for s in sr.boundary_points(t, 90):
-                ref = sr.ellipse_support_point(desc, s.theta)
-                assert abs(ref - s.boundary_point) <= 1e-8
+            samples = sr.boundary_points(t, 90)
+            for scale in (1.0, 1e-300):
+                desc = sr.ellipse_2x2(scale * t)
+                for s in samples:
+                    ref = sr.ellipse_support_point(desc, s.theta) / scale
+                    assert abs(ref - s.boundary_point) <= 1e-8
 
     def test_rejects_wrong_size(self):
         with pytest.raises(sr.MatrixShapeError):
@@ -363,11 +367,11 @@ class TestRadiusProperties:
             sr.numerical_radius(t), rel=1e-13)
 
 
-def sectorial(seed):
+def sectorial(seed, n=None):
     """H + i H^{1/2} K H^{1/2} with H positive definite: W(T) lies in the
-    sector of half-angle arctan ||K||, n = 2..6."""
+    sector of half-angle arctan ||K||, n = 2..6 unless given."""
     rng = philox(seed)
-    n = int(rng.integers(2, 7))
+    n = int(rng.integers(2, 7)) if n is None else n
     a = complex_gaussian((n, n), rng)
     h = a.conj().T @ a + 0.1 * np.eye(n)
     k = a + a.conj().T
@@ -389,10 +393,93 @@ def touching(seed):
     return u.conj().T @ t @ u
 
 
+def partial_kernel(seed):
+    """U* (0_m + sectorial block + i G) U with H singular on the first m
+    coordinates; G acts on ker H (within it, or only into the range of H)
+    or vanishes there, n = 2..6."""
+    rng = philox(seed)
+    n = int(rng.integers(2, 7))
+    m = int(rng.integers(1, n))
+    t = np.zeros((n, n), dtype=complex)
+    t[m:, m:] = sectorial(int(rng.integers(0, 2 ** 32)), n - m)
+    kind = int(rng.integers(0, 3))
+    if kind:
+        g = complex_gaussian((n, n), rng)
+        g = g + g.conj().T
+        if kind == 2:
+            g[:m, :m] = 0.0
+            g[m:, m:] = 0.0
+        t += 0.3j * g
+    u = random_unitary(n, rng)
+    return u.conj().T @ t @ u
+
+
 SECTOR_INPUTS = st.one_of(st.builds(sectorial, SEEDS),
                           st.builds(touching, SEEDS),
-                          st.builds(gaussian, SEEDS))
+                          st.builds(gaussian, SEEDS),
+                          st.builds(partial_kernel, SEEDS))
 ANGLES = (0.0, 0.3, 0.8, 1.2, math.pi / 2)
+
+
+def eig_sector_contains(t, alpha):
+    """Reference containment: sin(alpha) H +- cos(alpha) G positive
+    semidefinite, and H too at alpha = 0, each to -1e-10 ||T||_F."""
+    h, g = sr.cartesian_decompose(t)
+    cut = -1e-10 * np.linalg.norm(t)
+    pencils = [math.sin(alpha) * h + sign * math.cos(alpha) * g
+               for sign in (1.0, -1.0)]
+    if alpha == 0.0:
+        pencils.append(h)
+    return all(np.linalg.eigvalsh(m)[0] >= cut for m in pencils)
+
+
+def eig_min_sector_angle(t, scale=None):
+    """Reference minimal angle: None unless H >= -cut; pi/2 when G maps
+    ker H anywhere; else split ker H off and recurse, down to
+    arctan of the spectral radius of H^{-1/2} G H^{-1/2}."""
+    scale = np.linalg.norm(t) if scale is None else scale
+    h, g = sr.cartesian_decompose(t)
+    w, v = np.linalg.eigh(h)
+    cut = 1e-10 * scale
+    if w[0] < -cut:
+        return None
+    kernel = w <= cut
+    if not kernel.any():
+        inv_root = (v / np.sqrt(w)) @ v.conj().T
+        prod = inv_root @ g @ inv_root
+        return math.atan(np.abs(np.linalg.eigvalsh(
+            (prod + prod.conj().T) / 2.0)).max())
+    if kernel.all():
+        return 0.0 if np.linalg.norm(g, 2) <= cut else math.pi / 2
+    k, q = v[:, kernel], v[:, ~kernel]
+    if (np.linalg.norm(k.conj().T @ g @ k, 2) > cut
+            or np.linalg.norm(q.conj().T @ g @ k, 2) > cut):
+        return math.pi / 2
+    return eig_min_sector_angle(q.conj().T @ t @ q, scale)
+
+
+class TestSectorOracles:
+    """The support-value containment test and the one-congruence minimal
+    angle agree with the eigenvalue formulations they replace."""
+
+    @PROPERTY
+    @given(SECTOR_INPUTS)
+    def test_against_eigenvalue_formulations(self, t):
+        amin = sr.min_sector_angle(t)
+        ref = eig_min_sector_angle(t)
+        assert (amin is None) == (ref is None)
+        if amin is not None:
+            assert amin == pytest.approx(ref, abs=1e-13)
+        for alpha in ANGLES:
+            assert sr.sector_contains(t, alpha) == eig_sector_contains(t, alpha)
+
+    def test_kernel_kinds(self):
+        # each kind of partial kernel occurs: G within ker H, G from ker H
+        # into the range only (both pi/2), and G zero on ker H
+        answers = {sr.min_sector_angle(partial_kernel(seed))
+                   for seed in range(40)}
+        assert math.pi / 2 in answers
+        assert any(a is not None and a < math.pi / 2 for a in answers)
 
 
 class TestSectorInvariance:
