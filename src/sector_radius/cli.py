@@ -12,7 +12,6 @@ import argparse
 import sys
 
 from . import tolerances
-from .acceptance import run_verify
 from .certify import canonical_family_test, certify_extremal, ratio_check
 from .errors import SectorRadiusError, UsageError
 from .extremal import (
@@ -164,6 +163,7 @@ def _cmd_certify(args) -> int:
 def _cmd_verify(args) -> int:
     if args.seed < 0:
         raise UsageError(f"--seed must be nonnegative, got {args.seed}")
+    from .acceptance import run_verify  # only verify pays for this import
     text, code = run_verify(args.seed)
     sys.stdout.write(text)
     return code

@@ -129,6 +129,9 @@ def commutant_dimension(t) -> int:
     the gap to the nearest other cluster).  Each such set adds 1; a set
     with a repeated cluster adds the nullity of its own commutation system,
     whose singular values up to ``COMMUTANT_RTOL * n * scale`` are zero.
+    When U*HU and U*GU are scalar plus residues E_H, E_G on the set, that
+    system's norm is at most 2 ||(E_H, E_G)||_F, so a set where this bound
+    is within the cut adds m^2 without forming the O(m^4) system.
     """
     t = as_square_matrix(t)
     t = t / binary_scale(t)  # exact; keeps scale * scale below overflow
@@ -159,9 +162,13 @@ def commutant_dimension(t) -> int:
             continue
         m = int(comp.sum())
         eye = np.eye(m)
-        stacked = np.vstack([np.kron(eye, x[np.ix_(comp, comp)])
-                             - np.kron(x[np.ix_(comp, comp)].T, eye)
-                             for x in (hu, gu)])
+        blocks = [x[np.ix_(comp, comp)] for x in (hu, gu)]
+        if 2.0 * np.linalg.norm([b - np.trace(b) / m * eye
+                                 for b in blocks]) <= cut:
+            dim += m * m  # scalar blocks: the system below is all rounding
+            continue
+        stacked = np.vstack([np.kron(eye, b) - np.kron(b.T, eye)
+                             for b in blocks])
         sv = np.linalg.svd(stacked, compute_uv=False)
         dim += m * m - int(np.sum(sv > cut))
     return dim

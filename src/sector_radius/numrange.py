@@ -41,36 +41,42 @@ def validate_sector_angle(alpha) -> float:
     return min(max(a, 0.0), HALF_PI)
 
 
-def _batches(h: np.ndarray, thetas: np.ndarray):
-    """Slices of `thetas` whose pencils hold about 10^6 entries, so memory
-    stays flat in the number of angles."""
-    step = max(1, 1_000_000 // h.size)
-    return (slice(lo, lo + step) for lo in range(0, thetas.size, step))
+# Complex entries in one pencil buffer (1 MiB).  Support sweeps run in
+# slices of at most this many, so their memory stays flat in the number of
+# angles.
+_PENCIL_ENTRIES = 2 ** 16
 
 
-def _pencil(h: np.ndarray, g: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """cos(t) H + sin(t) G for every angle in `thetas`, stacked.  Callers
-    pass it straight to an eigensolver, so no batch outlives the next."""
-    mats = np.cos(thetas)[:, None, None] * h
-    mats += np.sin(thetas)[:, None, None] * g
-    return mats
+def _pencils(h: np.ndarray, g: np.ndarray, thetas: np.ndarray):
+    """Yield (slice, cos(t) H + sin(t) G for the angles of that slice) over
+    `thetas`, at most ``_PENCIL_ENTRIES`` entries at a time.  Every pencil
+    is a view into one buffer that the next slice overwrites; the buffer
+    holds the angle axis last, so each product runs along a contiguous row
+    even when n is 2."""
+    step = max(1, _PENCIL_ENTRIES // h.size)
+    buf = np.empty(h.shape + (min(step, thetas.size),), dtype=np.complex128)
+    tmp = np.empty_like(buf)
+    for lo in range(0, thetas.size, step):
+        th = thetas[lo:lo + step]
+        p, q = buf[..., :th.size], tmp[..., :th.size]
+        np.multiply(h[:, :, None], np.cos(th), out=p)
+        np.multiply(g[:, :, None], np.sin(th), out=q)
+        yield slice(lo, lo + th.size), np.add(p, q, out=p).transpose(2, 0, 1)
 
 
 def _support_values(h: np.ndarray, g: np.ndarray, thetas) -> np.ndarray:
     """Largest eigenvalue of cos(t) H + sin(t) G for every angle in `thetas`
     (n >= 2)."""
     thetas = np.atleast_1d(np.asarray(thetas, dtype=np.float64))
-    if h.shape[0] == 2:
-        # Closed form for the top eigenvalue of a 2x2 Hermitian matrix.
-        ct = np.cos(thetas)
-        st = np.sin(thetas)
-        a = ct * h[0, 0].real + st * g[0, 0].real
-        d = ct * h[1, 1].real + st * g[1, 1].real
-        off = ct * h[0, 1] + st * g[0, 1]
-        return (a + d) / 2.0 + np.hypot((a - d) / 2.0, np.abs(off))
     out = np.empty(thetas.shape)
-    for sl in _batches(h, thetas):
-        out[sl] = np.linalg.eigvalsh(_pencil(h, g, thetas[sl]))[..., -1]
+    for sl, p in _pencils(h, g, thetas):
+        if h.shape[0] == 2:
+            # Closed form for the top eigenvalue of a 2x2 Hermitian matrix.
+            a, d = p[:, 0, 0].real, p[:, 1, 1].real
+            out[sl] = (a + d) / 2.0 + np.hypot((a - d) / 2.0,
+                                               np.abs(p[:, 0, 1]))
+        else:
+            out[sl] = np.linalg.eigvalsh(p)[:, -1]
     return out
 
 
@@ -97,13 +103,12 @@ def _boundary_samples(t: np.ndarray, thetas) -> list[BoundarySample]:
     """Support value and Rayleigh boundary point at every angle in `thetas`."""
     h, g = cartesian_decompose(t)
     out: list[BoundarySample] = []
-    for sl in _batches(h, thetas):
-        w, v = np.linalg.eigh(_pencil(h, g, thetas[sl]))
+    for sl, p in _pencils(h, g, thetas):
+        w, v = np.linalg.eigh(p)
         top = v[..., -1]
         pts = np.einsum("ki,ij,kj->k", top.conj(), t, top)
-        for i in range(w.shape[0]):
-            out.append(BoundarySample(float(thetas[sl][i]),
-                                      float(w[i, -1]), complex(pts[i])))
+        out.extend(BoundarySample(float(a), float(b), complex(z))
+                   for a, b, z in zip(thetas[sl], w[:, -1], pts))
     return out
 
 
@@ -123,8 +128,7 @@ def _golden_max(h: np.ndarray, g: np.ndarray, lo: np.ndarray, hi: np.ndarray,
             break
         c = b - _INVPHI * span
         d = a + _INVPHI * span
-        fc = _support_values(h, g, c)
-        fd = _support_values(h, g, d)
+        fc, fd = _support_values(h, g, np.concatenate([c, d])).reshape(2, -1)
         best = max(best, float(fc.max()), float(fd.max()))
         keep_left = fc >= fd
         b = np.where(keep_left, d, b)
@@ -335,21 +339,27 @@ def grid_radius(t, points: int = 1_000_000) -> float:
     width = 1
     while width * 256 <= points:
         width *= 16
-    starts = np.arange(0, points, width)
+    blocks = [(width, np.arange(0, points, width))]
     best = -math.inf
-    while True:
+    while blocks:
+        # Depth first, at most 4096 blocks (the top level's most) at a time,
+        # so memory stays flat in `points`.
+        width, starts = blocks.pop()
+        if starts.size > 4096:
+            blocks.append((width, starts[4096:]))
+            starts = starts[:4096]
         ends = np.minimum(starts + width, points) % points
         idx = np.sort(np.concatenate([starts, ends]))
         idx = idx[np.diff(idx, prepend=-1) > 0]
         vals = _support_values(h, g, 2.0 * math.pi * idx / points)
         best = max(best, float(vals.max()))
         if width == 1:
-            return best
+            continue
         top = np.maximum(vals[np.searchsorted(idx, starts)],
                          vals[np.searchsorted(idx, ends)])
         cos_half = np.cos(math.pi / points * ((ends - starts) % points))
         top = np.where(top > 0.0, top / cos_half, top)
         keep = starts[top + slack > best]
-        width //= 16
-        starts = (keep[:, None] + width * np.arange(16)).ravel()
-        starts = starts[starts < points]
+        starts = (keep[:, None] + width // 16 * np.arange(16)).ravel()
+        blocks.append((width // 16, starts[starts < points]))
+    return best

@@ -270,6 +270,28 @@ class TestCommutantAgainstKronecker:
         for t in (np.zeros((n, n)), np.eye(n)):
             assert sr.commutant_dimension(t) == kronecker_nullity(t) == n * n
 
+    @pytest.mark.parametrize("case", ["identity", "diagonal", "normal",
+                                      "scalar_plus_gaussian"])
+    def test_scalar_blocks_skip_the_system(self, case, monkeypatch):
+        # H and G are scalar on the repeated eigenvalue's set, so its m^2
+        # is counted without an SVD of the O(m^4) commutation system
+        if case == "identity":
+            t = np.eye(6)
+        elif case == "diagonal":
+            t = np.diag([1.0, 1.0, 1.0, 2.0])
+        elif case == "normal":
+            t = normal_repeated(3, [3, 1, 1])
+        else:
+            t = block_diagonal([2 * np.eye(3), complex_gaussian((3, 3),
+                                                               philox(3))])
+        expected = kronecker_nullity(t)
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("commutation system was formed")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        assert sr.commutant_dimension(t) == expected
+
     @PROPERTY
     @given(SEEDS, st.sampled_from([1e-3, 1e-2, 0.1]))
     def test_three_by_three_family(self, seed, d):

@@ -1,13 +1,14 @@
 """Tests for numerical range geometry."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import sector_radius as sr
-from sector_radius.numrange import _support_values
+from sector_radius.numrange import _PENCIL_ENTRIES, _support_values
 
 RNG = np.random.default_rng(np.random.Philox(20240602))
 
@@ -117,7 +118,7 @@ class TestGridOracle:
         return float(_support_values(h, g, thetas).max())
 
     @pytest.mark.parametrize("n", [2, 3, 4, 6, 8, 9])
-    def test_charpoly_route_matches_eigenvalues(self, n):
+    def test_pruned_grid_matches_unpruned_across_scales(self, n):
         # the pruned grid against direct Hermitian eigenvalues at every grid
         # angle, at scales where an absolute floor or an underflow would show
         t = complex_gaussian((n, n), philox(n))
@@ -143,9 +144,41 @@ class TestGridOracle:
         bound = 8 * n * np.finfo(float).eps * np.linalg.norm(t)
         assert abs(sr.grid_radius(t, m) - self.unpruned(t, m)) <= bound
 
-    def test_large_matrix_fallback(self):
+    def test_radius_matches_coarse_grid_at_n9(self):
         t = complex_gaussian((9, 9))
         assert abs(sr.numerical_radius(t) - sr.grid_radius(t, 20_000)) <= 1e-5
+
+
+def traced_peak_mb(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+class TestFlatMemory:
+    """Support sweeps work in one fixed pencil workspace, so their memory
+    does not grow with the number of angles or with n."""
+
+    def test_grid_radius_on_flat_support(self):
+        # the shift's support function is constant: every angle is evaluated
+        peak = traced_peak_mb(lambda: sr.grid_radius([[0, 1], [0, 0]], 10 ** 6))
+        assert peak <= 8
+
+    def test_radius_of_50x50(self):
+        t = complex_gaussian((50, 50), philox(50))
+        assert traced_peak_mb(lambda: sr.numerical_radius(t)) <= 8
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_sliced_sweep_matches_single_angles(self, n):
+        h, g = sr.cartesian_decompose(complex_gaussian((n, n), philox(n)))
+        thetas = philox(100 + n).uniform(-7.0, 7.0,
+                                         3 * _PENCIL_ENTRIES // (n * n) + 5)
+        single = [_support_values(h, g, thetas[i:i + 1])[0]
+                  for i in range(thetas.size)]
+        assert np.array_equal(_support_values(h, g, thetas), single)
 
 
 class TestBoundaryPoints:
