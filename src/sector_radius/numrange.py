@@ -46,6 +46,10 @@ def validate_sector_angle(alpha) -> float:
 # angles.
 _PENCIL_ENTRIES = 2 ** 16
 
+# Grid blocks valued in one `_support_values` call by `grid_radius`, so the
+# union of their starts and ends stays under 8192 angles.
+_GRID_BLOCKS = 4096
+
 
 def _pencils(h: np.ndarray, g: np.ndarray, thetas: np.ndarray):
     """Yield (slice, cos(t) H + sin(t) G for the angles of that slice) over
@@ -342,12 +346,9 @@ def grid_radius(t, points: int = 1_000_000) -> float:
     blocks = [(width, np.arange(0, points, width))]
     best = -math.inf
     while blocks:
-        # Depth first, at most 4096 blocks (the top level's most) at a time,
-        # so memory stays flat in `points`.
+        # Depth first, at most _GRID_BLOCKS blocks at a time (the top level
+        # has at most 256), so memory stays flat in `points`.
         width, starts = blocks.pop()
-        if starts.size > 4096:
-            blocks.append((width, starts[4096:]))
-            starts = starts[:4096]
         ends = np.minimum(starts + width, points) % points
         idx = np.sort(np.concatenate([starts, ends]))
         idx = idx[np.diff(idx, prepend=-1) > 0]
@@ -360,6 +361,8 @@ def grid_radius(t, points: int = 1_000_000) -> float:
         cos_half = np.cos(math.pi / points * ((ends - starts) % points))
         top = np.where(top > 0.0, top / cos_half, top)
         keep = starts[top + slack > best]
-        starts = (keep[:, None] + width // 16 * np.arange(16)).ravel()
-        blocks.append((width // 16, starts[starts < points]))
+        for lo in range(0, keep.size, _GRID_BLOCKS // 16):
+            kids = (keep[lo:lo + _GRID_BLOCKS // 16, None]
+                    + width // 16 * np.arange(16)).ravel()
+            blocks.append((width // 16, kids[kids < points]))
     return best

@@ -144,6 +144,18 @@ class TestGridOracle:
         bound = 8 * n * np.finfo(float).eps * np.linalg.norm(t)
         assert abs(sr.grid_radius(t, m) - self.unpruned(t, m)) <= bound
 
+    def test_near_flat_support(self):
+        # f(t) = 1/2 + 1e-8 cos(t): whole groups of blocks fall under the
+        # value at t = 0 and are all skipped
+        t = np.array([[1e-8, 1.0], [0.0, 1e-8]])
+        r = sr.grid_radius(t, 10 ** 6)
+        assert r == self.unpruned(t, 10 ** 6)
+        assert r == pytest.approx(0.5 + 1e-8, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_zero_matrix(self, n):
+        assert sr.grid_radius(np.zeros((n, n)), 10 ** 6) == 0.0
+
     def test_radius_matches_coarse_grid_at_n9(self):
         t = complex_gaussian((9, 9))
         assert abs(sr.numerical_radius(t) - sr.grid_radius(t, 20_000)) <= 1e-5
