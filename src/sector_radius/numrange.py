@@ -7,7 +7,7 @@ cos(theta) H + sin(theta) G where T = H + iG, and the numerical radius
 w(T) is the maximum of the support function over all directions.
 
 This module computes support values and boundary samples, the numerical
-radius (grid scan plus golden-section refinement) and the exact elliptical
+radius (grid scan plus Newton refinement) and the exact elliptical
 range of 2x2 matrices.  Sector containment reads the support function at
 the outward normals of the sector's two rays and at pi; the minimal
 sector half-angle is arctan of the spectral radius of G under the
@@ -29,7 +29,6 @@ from .matcore import (as_square_matrix, binary_scale, cartesian_decompose,
                       eigenvalues_2x2, matrix_scale)
 
 HALF_PI = math.pi / 2.0
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def validate_sector_angle(alpha) -> float:
@@ -116,55 +115,56 @@ def _boundary_samples(t: np.ndarray, thetas) -> list[BoundarySample]:
     return out
 
 
-def _golden_max(h: np.ndarray, g: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                width_tol: float, max_iter: int = 200) -> float:
-    """Golden-section maximum of the support function over several brackets.
-
-    Returns the best value encountered.  Each bracket must contain a local
-    maximum.
-    """
-    a = np.asarray(lo, dtype=np.float64).copy()
-    b = np.asarray(hi, dtype=np.float64).copy()
-    best = -math.inf
-    for _ in range(max_iter):
-        span = b - a
-        if float(span.max()) <= width_tol:
-            break
-        c = b - _INVPHI * span
-        d = a + _INVPHI * span
-        fc, fd = _support_values(h, g, np.concatenate([c, d])).reshape(2, -1)
-        best = max(best, float(fc.max()), float(fd.max()))
-        keep_left = fc >= fd
-        b = np.where(keep_left, d, b)
-        a = np.where(keep_left, a, c)
+def _newton_max(h: np.ndarray, g: np.ndarray, x: np.ndarray, step: float,
+                cut: float) -> float:
+    """Largest support value met by safeguarded Newton ascent from the
+    scan peaks `x` in brackets [x - step, x + step], all in one batch, with
+    f' = v* P' v and f'' = -f + 2 sum_j |u_j* P' v|^2 / (f - l_j) for the
+    eigenpairs (l_j, u_j) of P = cos(t) H + sin(t) G, the top one (f, v).
+    Brackets shrink by the sign of f', which a step with f'' < 0 follows.
+    A tie f - l_j <= `cut`, f'' >= 0 or a step over half the bracket
+    bisects; a bracket stops once that step is <= RADIUS_THETA_TOL."""
+    a, b, best = x - step, x + step, -math.inf
+    while x.size:
+        d1, d2 = np.empty(x.shape), np.full(x.shape, np.inf)
+        for sl, p in _pencils(h, g, x):
+            w, u = np.linalg.eigh(p)
+            dv = (u[..., -1] @ g.T * np.cos(x[sl])[:, None]
+                  - u[..., -1] @ h.T * np.sin(x[sl])[:, None])
+            c = np.einsum("kji,kj->ki", u.conj(), dv)
+            best = max(best, float(w[:, -1].max()))
+            d1[sl] = c[:, -1].real
+            gap = w[:, -1:] - w[:, :-1]
+            ok = gap[:, -1] > cut
+            mag = np.abs(c[ok, :-1])  # (|c| / gap) |c| cannot overflow
+            d2[sl][ok] = 2.0 * ((mag / gap[ok]) * mag).sum(axis=1) - w[ok, -1]
+        a, b = np.where(d1 >= 0.0, x, a), np.where(d1 >= 0.0, b, x)
+        d = np.divide(-d1, d2, out=np.full(x.shape, np.inf), where=d2 < 0.0)
+        x = np.where(2.0 * np.abs(d) <= b - a, x + d, (a + b) / 2.0)
+        live = np.minimum(np.abs(d), (b - a) / 2.0) > tol.RADIUS_THETA_TOL
+        x, a, b = x[live], a[live], b[live]
     return best
 
 
 def numerical_radius(t) -> float:
-    """Numerical radius w(T): maximum of the support function over angles.
-
-    A 1024-point scan locates candidate maxima; the top brackets are then
-    refined by golden section until the bracket width drops below
-    ``RADIUS_THETA_TOL``.
-    """
+    """Numerical radius w(T): the largest support value met by a 1024-point
+    scan and by Newton ascent (`_newton_max`) from its eight highest peaks."""
     t = as_square_matrix(t)
     if t.shape[0] == 1:
         return float(abs(t[0, 0]))
+    s = binary_scale(t)
+    t = t / s  # exact; keeps the derivatives in `_newton_max` finite
     h, g = cartesian_decompose(t)
     m = tol.RADIUS_GRID_POINTS
     thetas = 2.0 * math.pi * np.arange(m) / m
     vals = _support_values(h, g, thetas)
-    best = float(vals.max())
     local = np.flatnonzero((vals >= np.roll(vals, 1))
                            & (vals >= np.roll(vals, -1)))
-    if local.size == 0:
-        local = np.array([int(vals.argmax())])
     order = np.lexsort((local, -vals[local]))
     pick = local[order][:tol.RADIUS_REFINE_BRACKETS]
-    step = 2.0 * math.pi / m
-    refined = _golden_max(h, g, thetas[pick] - step, thetas[pick] + step,
-                          tol.RADIUS_THETA_TOL)
-    return max(best, refined)
+    cut = t.shape[0] * np.finfo(float).eps * matrix_scale(t)
+    refined = _newton_max(h, g, thetas[pick], 2.0 * math.pi / m, cut)
+    return s * max(float(vals.max()), refined)
 
 
 def boundary_points(t, m) -> list[BoundarySample]:

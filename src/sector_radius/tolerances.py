@@ -29,7 +29,7 @@ COMMUTANT_RTOL = 1e-13
 # largest count as attaining the norm.
 TOP_SINGULAR_RTOL = 1e-10
 
-# Numerical radius maximization.
+# Numerical radius: scan size, Newton brackets, step at which a bracket stops.
 RADIUS_GRID_POINTS = 1024
 RADIUS_REFINE_BRACKETS = 8
 RADIUS_THETA_TOL = 1e-12

@@ -3,11 +3,13 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import sector_radius as sr
+from sector_radius import numrange
 from sector_radius.numrange import _PENCIL_ENTRIES, _support_values
 
 RNG = np.random.default_rng(np.random.Philox(20240602))
@@ -104,6 +106,85 @@ class TestNumericalRadius:
         assert norm <= 2 * w + 1e-10
 
 
+class TestNewtonRefinement:
+    """The scan peaks are refined by safeguarded Newton ascent: a few
+    sweeps on generic input, bisection on flat or tied support functions."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_few_sweeps(self, n, monkeypatch):
+        # one sweep of the 1024-angle scan, then one per Newton step; the
+        # golden section took 49
+        sweeps = []
+
+        def counting(*args):
+            sweeps.append(args)
+            return real(*args)
+
+        real = numrange._pencils
+        monkeypatch.setattr(numrange, "_pencils", counting)
+        for seed in range(5):
+            sweeps.clear()
+            sr.numerical_radius(complex_gaussian((n, n), philox(10 * n + seed)))
+            assert len(sweeps) <= 1 + 6
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("t, w", [
+        (np.zeros((2, 2)), 0.0),
+        (2j * np.eye(2), 2.0),
+        (np.eye(3), 1.0),
+        (np.diag([1.0, 1.0], k=1), math.cos(math.pi / 4)),
+        ([[0, 1], [0, 0]], 0.5),
+        (np.diag([1, -1, 1j, -1j]), 1.0),
+        ([[1e-8, 1], [0, 1e-8]], 0.5 + 1e-8),
+    ], ids=["zero", "2i-identity", "identity", "jordan", "shift",
+            "diag-units", "near-flat"])
+    def test_flat_and_tied_inputs(self, t, w):
+        # tied top eigenvalues everywhere (0, 2i I, I), a constant support
+        # function (the Jordan block, the shift), a top eigenvalue that
+        # changes hands at ties (diag) and f(t) = 1/2 + 1e-8 cos(t)
+        assert sr.numerical_radius(t) == pytest.approx(w, rel=1e-14, abs=0.0)
+
+
+def mp_radius(t):
+    """w(T) to about 35 digits, for small n and a smooth maximum: the
+    largest support value at the roots of f'(t) = v* (-sin(t) H + cos(t) G) v
+    that mpmath finds in the brackets of the three highest peaks of a
+    4096-angle scan."""
+    n, m = t.shape[0], 4096
+    h, g = (t + t.conj().T) / 2, (t - t.conj().T) / 2j
+    th = 2 * math.pi * np.arange(m) / m
+    vals = np.linalg.eigvalsh(np.cos(th)[:, None, None] * h
+                              + np.sin(th)[:, None, None] * g)[:, -1]
+    peaks = np.flatnonzero((vals >= np.roll(vals, 1))
+                           & (vals >= np.roll(vals, -1)))
+    with mpmath.workdps(40):
+        hm, gm = mpmath.matrix(h.tolist()), mpmath.matrix(g.tolist())
+
+        def top(a):
+            e, q = mpmath.eigh(mpmath.cos(a) * hm + mpmath.sin(a) * gm)
+            k = max(range(n), key=lambda i: e[i])
+            return e[k], q[:, k]
+
+        def slope(a):
+            v = top(a)[1]
+            dp = -mpmath.sin(a) * hm + mpmath.cos(a) * gm
+            return mpmath.re((v.transpose_conj() * dp * v)[0])
+
+        step = 2 * mpmath.pi / m
+        roots = [mpmath.findroot(slope, (k * step - step, k * step + step),
+                                 solver="illinois")
+                 for k in peaks[np.argsort(-vals[peaks])][:3]]
+        return float(max(top(a)[0] for a in roots))
+
+
+class TestHighPrecisionOracle:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_mpmath(self, seed):
+        t = complex_gaussian((2 + seed % 3,) * 2, philox(300 + seed))
+        assert sr.numerical_radius(t) == pytest.approx(
+            mp_radius(t), rel=1e-14, abs=0.0)
+
+
 class TestGridOracle:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_matches_refined_radius(self, n):
@@ -179,8 +260,10 @@ class TestFlatMemory:
         peak = traced_peak_mb(lambda: sr.grid_radius([[0, 1], [0, 0]], 10 ** 6))
         assert peak <= 8
 
-    def test_radius_of_50x50(self):
-        t = complex_gaussian((50, 50), philox(50))
+    @pytest.mark.parametrize("n", [50, 150])
+    def test_radius(self, n):
+        # the scan and the Newton sweeps both build pencils slice by slice
+        t = complex_gaussian((n, n), philox(n))
         assert traced_peak_mb(lambda: sr.numerical_radius(t)) <= 8
 
     @pytest.mark.parametrize("n", [2, 3])
