@@ -8,11 +8,13 @@ w(T) is the maximum of the support function over all directions.
 
 This module computes support values and boundary samples, the numerical
 radius (grid scan plus Newton refinement) and the exact elliptical
-range of 2x2 matrices.  Sector containment reads the support function at
-the outward normals of the sector's two rays and at pi; the minimal
-sector half-angle is arctan of the spectral radius of G under the
-congruence that turns H into the identity on its range.  A brute-force
-uniform-grid radius (`grid_radius`) is an independent cross-check.
+range of 2x2 matrices; one eigensolve gives the support function at theta
+and theta + pi, so the scan solves half its grid's pencils.  Sector
+containment reads the support function at the outward normals of the
+sector's two rays and at pi; the minimal sector half-angle is arctan of
+the spectral radius of G under the congruence that turns H into the
+identity on its range.  A brute-force uniform-grid radius (`grid_radius`)
+is an independent cross-check.
 """
 
 from __future__ import annotations
@@ -68,18 +70,20 @@ def _pencils(h: np.ndarray, g: np.ndarray, thetas: np.ndarray):
 
 
 def _support_values(h: np.ndarray, g: np.ndarray, thetas) -> np.ndarray:
-    """Largest eigenvalue of cos(t) H + sin(t) G for every angle in `thetas`
-    (n >= 2)."""
+    """Largest and smallest eigenvalue of cos(t) H + sin(t) G for every
+    angle in `thetas` (n >= 2), as rows 0 and 1: the support function at t
+    and minus the support function at t + pi."""
     thetas = np.atleast_1d(np.asarray(thetas, dtype=np.float64))
-    out = np.empty(thetas.shape)
+    out = np.empty((2,) + thetas.shape)
     for sl, p in _pencils(h, g, thetas):
         if h.shape[0] == 2:
-            # Closed form for the top eigenvalue of a 2x2 Hermitian matrix.
+            # Closed form for the eigenvalues of a 2x2 Hermitian matrix.
             a, d = p[:, 0, 0].real, p[:, 1, 1].real
-            out[sl] = (a + d) / 2.0 + np.hypot((a - d) / 2.0,
-                                               np.abs(p[:, 0, 1]))
+            r = np.hypot((a - d) / 2.0, np.abs(p[:, 0, 1]))
+            out[0, sl], out[1, sl] = (a + d) / 2.0 + r, (a + d) / 2.0 - r
         else:
-            out[sl] = np.linalg.eigvalsh(p)[:, -1]
+            w = np.linalg.eigvalsh(p)
+            out[0, sl], out[1, sl] = w[:, -1], w[:, 0]
     return out
 
 
@@ -120,24 +124,38 @@ def _newton_max(h: np.ndarray, g: np.ndarray, x: np.ndarray, step: float,
     """Largest support value met by safeguarded Newton ascent from the
     scan peaks `x` in brackets [x - step, x + step], all in one batch, with
     f' = v* P' v and f'' = -f + 2 sum_j |u_j* P' v|^2 / (f - l_j) for the
-    eigenpairs (l_j, u_j) of P = cos(t) H + sin(t) G, the top one (f, v).
-    Brackets shrink by the sign of f', which a step with f'' < 0 follows.
-    A tie f - l_j <= `cut`, f'' >= 0 or a step over half the bracket
-    bisects; a bracket stops once that step is <= RADIUS_THETA_TOL."""
+    eigenpairs (l_j, u_j) of P = cos(t) H + sin(t) G, the top one (f, v),
+    summed over the l_j outside the top cluster f - l_j <= `cut`.  A
+    cluster of more than one eigenvalue leaves f differentiable where the
+    compression U* P' U onto it is scalar within `cut`; elsewhere it is a
+    kink.  Brackets shrink by the sign of f', which a step with f'' < 0
+    follows.  A kink, f'' >= 0 or a step over half the bracket bisects; a
+    bracket stops once that step is <= RADIUS_THETA_TOL."""
     a, b, best = x - step, x + step, -math.inf
     while x.size:
-        d1, d2 = np.empty(x.shape), np.full(x.shape, np.inf)
+        d1, d2 = np.empty(x.shape), np.empty(x.shape)
         for sl, p in _pencils(h, g, x):
             w, u = np.linalg.eigh(p)
-            dv = (u[..., -1] @ g.T * np.cos(x[sl])[:, None]
-                  - u[..., -1] @ h.T * np.sin(x[sl])[:, None])
+            cs, sn = np.cos(x[sl])[:, None], np.sin(x[sl])[:, None]
+            dv = u[..., -1] @ g.T * cs - u[..., -1] @ h.T * sn
             c = np.einsum("kji,kj->ki", u.conj(), dv)
             best = max(best, float(w[:, -1].max()))
             d1[sl] = c[:, -1].real
             gap = w[:, -1:] - w[:, :-1]
-            ok = gap[:, -1] > cut
-            mag = np.abs(c[ok, :-1])  # (|c| / gap) |c| cannot overflow
-            d2[sl][ok] = 2.0 * ((mag / gap[ok]) * mag).sum(axis=1) - w[ok, -1]
+            apart = gap > cut
+            mag = np.abs(c[:, :-1])  # (|c| / gap) |c| cannot overflow
+            ratio = np.divide(mag, gap, out=np.zeros(gap.shape), where=apart)
+            d2[sl] = 2.0 * (ratio * mag).sum(axis=1) - w[:, -1]
+            kink = ~apart[:, -1]
+            if kink.any():
+                uk, top = u[kink], w[kink, -1:] - w[kink] <= cut
+                dp = uk.conj().transpose(0, 2, 1) @ (
+                    g @ uk * cs[kink, :, None] - h @ uk * sn[kink, :, None])
+                dp -= d1[sl][kink, None, None] * np.eye(h.shape[0])
+                pair = top[:, :, None] & top[:, None, :]
+                kink[kink] = np.abs(dp, where=pair, out=np.zeros(dp.shape)
+                                    ).max(axis=(1, 2)) > cut
+            d2[sl][kink] = np.inf
         a, b = np.where(d1 >= 0.0, x, a), np.where(d1 >= 0.0, b, x)
         d = np.divide(-d1, d2, out=np.full(x.shape, np.inf), where=d2 < 0.0)
         x = np.where(2.0 * np.abs(d) <= b - a, x + d, (a + b) / 2.0)
@@ -146,9 +164,17 @@ def _newton_max(h: np.ndarray, g: np.ndarray, x: np.ndarray, step: float,
     return best
 
 
+def _scan(h: np.ndarray, g: np.ndarray, m: int) -> np.ndarray:
+    """Support values at the angles 2 pi k / m (m even) from m / 2 pencils:
+    P(t + pi) = -P(t), so f(t + pi) = -lambda_min(P(t))."""
+    top, bottom = _support_values(h, g, 2.0 * math.pi * np.arange(m // 2) / m)
+    return np.concatenate([top, 0.0 - bottom])  # -bottom gives -0.0 at 0
+
+
 def numerical_radius(t) -> float:
-    """Numerical radius w(T): the largest support value met by a 1024-point
-    scan and by Newton ascent (`_newton_max`) from its eight highest peaks."""
+    """Numerical radius w(T): the largest support value met by a 1024-angle
+    scan (`_scan`, 512 eigensolves) and by Newton ascent (`_newton_max`)
+    from its eight highest peaks."""
     t = as_square_matrix(t)
     if t.shape[0] == 1:
         return float(abs(t[0, 0]))
@@ -156,14 +182,14 @@ def numerical_radius(t) -> float:
     t = t / s  # exact; keeps the derivatives in `_newton_max` finite
     h, g = cartesian_decompose(t)
     m = tol.RADIUS_GRID_POINTS
-    thetas = 2.0 * math.pi * np.arange(m) / m
-    vals = _support_values(h, g, thetas)
+    vals = _scan(h, g, m)
     local = np.flatnonzero((vals >= np.roll(vals, 1))
                            & (vals >= np.roll(vals, -1)))
     order = np.lexsort((local, -vals[local]))
     pick = local[order][:tol.RADIUS_REFINE_BRACKETS]
     cut = t.shape[0] * np.finfo(float).eps * matrix_scale(t)
-    refined = _newton_max(h, g, thetas[pick], 2.0 * math.pi / m, cut)
+    refined = _newton_max(h, g, 2.0 * math.pi * pick / m, 2.0 * math.pi / m,
+                          cut)
     return s * max(float(vals.max()), refined)
 
 
@@ -282,7 +308,7 @@ def sector_contains(t, alpha) -> bool:
     alpha = validate_sector_angle(alpha)
     h, g = cartesian_decompose(t)
     normals = np.array([HALF_PI + alpha, -HALF_PI - alpha, math.pi])
-    return bool(_support_values(h, g, normals).max()
+    return bool(_support_values(h, g, normals)[0].max()
                 <= tol.PSD_RTOL * matrix_scale(t))
 
 
@@ -352,7 +378,7 @@ def grid_radius(t, points: int = 1_000_000) -> float:
         ends = np.minimum(starts + width, points) % points
         idx = np.sort(np.concatenate([starts, ends]))
         idx = idx[np.diff(idx, prepend=-1) > 0]
-        vals = _support_values(h, g, 2.0 * math.pi * idx / points)
+        vals = _support_values(h, g, 2.0 * math.pi * idx / points)[0]
         best = max(best, float(vals.max()))
         if width == 1:
             continue

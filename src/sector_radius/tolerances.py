@@ -30,6 +30,8 @@ COMMUTANT_RTOL = 1e-13
 TOP_SINGULAR_RTOL = 1e-10
 
 # Numerical radius: scan size, Newton brackets, step at which a bracket stops.
+# The scan size must be even: the scan solves the pencils at half of its
+# angles and reads the support function half a turn away from each.
 RADIUS_GRID_POINTS = 1024
 RADIUS_REFINE_BRACKETS = 8
 RADIUS_THETA_TOL = 1e-12
