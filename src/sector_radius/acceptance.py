@@ -19,6 +19,7 @@ from .extremal import (
     ThreeByThreeParams,
     chain_eigenvectors,
     extremal_2x2,
+    extremal_params,
     irreducible_family,
     r_alpha_matrix,
     three_by_three,
@@ -115,7 +116,7 @@ def criterion_03(seed: int) -> CriterionResult:
         t = sectorial_sample(rng, n, alpha)
         if sector_contains(t, alpha):
             contained += 1
-        excess = ratio_of(t) - math.sqrt(1.0 + math.sin(alpha) ** 2)
+        excess = ratio_of(t) - tau(alpha)
         worst_excess = max(worst_excess, excess)
     elapsed = time.perf_counter() - start
     passed = (contained == cases and worst_excess <= 1e-8 and elapsed < 30.0)
@@ -167,17 +168,17 @@ def criterion_06(seed: int) -> CriterionResult:
 def criterion_07(seed: int) -> CriterionResult:
     """Unique ratio maximizer on the r=1 slice at alpha = pi/4."""
     alpha = math.pi / 4.0
-    s = math.sin(alpha) ** 2
-    c_grid = np.linspace(0.0, s / math.sqrt(1.0 + s), 10_000)
-    c0 = s / math.sqrt(1.0 + 2.0 * s)
+    params = extremal_params(alpha)
+    s = params.s
+    c_grid = np.linspace(0.0, s / tau(alpha), 10_000)
     ratios = np.empty(c_grid.size)
     for i, c in enumerate(c_grid):
         theta = math.asin(math.sqrt(max(s - c * c, 0.0)))
         ratios[i] = ratio_of(r_alpha_matrix(1.0, theta, alpha))
     arg = int(ratios.argmax())
     step = c_grid[1] - c_grid[0]
-    dev_arg = abs(c_grid[arg] - c0)
-    dev_max = abs(float(ratios[arg]) - math.sqrt(1.0 + s))
+    dev_arg = abs(c_grid[arg] - params.c)
+    dev_max = abs(float(ratios[arg]) - tau(alpha))
     passed = dev_arg <= step * (1.0 + 1e-9) and dev_max <= 1e-6
     return CriterionResult(
         7, "unique-maximizer", passed,
@@ -263,9 +264,8 @@ def criterion_10(seed: int) -> CriterionResult:
     for i in range(50):
         alpha = alphas[i % 3]
         t = _conjugated_direct_sum(rng, alpha, normal_radius_below=False)
-        ratio = ratio_of(t)
         rep = certify_extremal(t, alpha, 1e-7)
-        if ratio <= tau(alpha) - 1e-3 and rep.verdict is Verdict.NOT_EXTREMAL:
+        if rep.verdict is Verdict.NOT_EXTREMAL and rep.ratio <= rep.tau - 1e-3:
             not_extremal_ok += 1
     passed = (extremal_ok == 50 and not_extremal_ok == 50
               and worst_offdiag <= 1e-7)

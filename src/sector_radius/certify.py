@@ -102,7 +102,7 @@ def canonical_family_test(a, alpha) -> RecoveredForm | None:
         raise MatrixShapeError(f"expected a 2x2 matrix, got {a.shape}")
     alpha = validate_sector_angle(alpha)
     a = a / binary_scale(a)
-    det = complex(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
+    det = similarity_invariants_2x2(a).determinant
     if det.real <= 0.0:
         return None
     a0 = a / math.sqrt(det.real)

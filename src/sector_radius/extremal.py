@@ -207,28 +207,27 @@ def chain_eigenvectors(n: int, epsilon: float) -> list[np.ndarray]:
     return vecs
 
 
-def _chain_postconditions(t: np.ndarray, n: int, epsilon: float,
-                          atol: float = 1e-8) -> str | None:
+def _chain_postconditions(t: np.ndarray, n: int, epsilon: float) -> str | None:
     """Check the defining properties of the chain construction.
 
-    Returns None when they all hold within ``atol``, else a description of
-    the first failure.
+    Returns None when they all hold within 1e-8, else a description of the
+    first failure.
     """
     norm = operator_norm(t)
-    if abs(norm - 1.0) > atol:
+    if abs(norm - 1.0) > 1e-8:
         return f"norm {norm} != 1"
     w = numerical_radius(t)
-    if abs(w - 1.0 / math.sqrt(2.0)) > atol:
+    if abs(w - 1.0 / math.sqrt(2.0)) > 1e-8:
         return f"numerical radius {w} != 1/sqrt(2)"
     h, _ = cartesian_decompose(t)
     lam_min = float(np.linalg.eigvalsh(h)[0])
-    if lam_min < -atol:
+    if lam_min < -1e-8:
         return f"Hermitian part not PSD (lambda_min = {lam_min})"
     if commutant_dimension(t) != 1:
         return "commutant dimension != 1 (unitarily reducible)"
     for k, x in zip(range(4, n + 1), chain_eigenvectors(n, epsilon)):
         resid = float(np.linalg.norm(t.conj().T @ x - epsilon ** (k - 3) * x))
-        if resid > atol * float(np.linalg.norm(x)):
+        if resid > 1e-8 * float(np.linalg.norm(x)):
             return f"adjoint eigen-relation residual {resid} at k = {k}"
     return None
 

@@ -1,78 +1,94 @@
 """Acceptance suite: every criterion at its stated tolerance.
 
-Criteria 1-11 call the acceptance functions directly (each prints its
-pass/fail line); criterion 12 runs the actual ``verify`` CLI twice and
-compares the reports byte for byte.
+Two ``verify`` processes run side by side, each regenerating the report
+(criteria 1-11 twice, then criterion 12's byte comparison).  Each test
+asserts and prints its own line of the first run's report; criterion 12
+also demands exit code 0 from both runs and byte-identical stdout.
 """
 
 import subprocess
 import sys
 
-from sector_radius import acceptance
+import pytest
 
-SEED = 0
-
-
-def _run(fn):
-    res = fn(SEED)
-    print(acceptance.format_line(res))
-    assert res.passed, acceptance.format_line(res)
+VERIFY = [sys.executable, "-W", "error::RuntimeWarning", "-m", "sector_radius",
+          "verify", "--seed", "0"]
 
 
-def test_criterion_01_extremal_ratio_equality():
-    _run(acceptance.criterion_01)
+@pytest.fixture(scope="module")
+def verify_runs():
+    """(returncode, stdout bytes, stderr text) of two concurrent ``verify``
+    runs; both are killed if either fails or times out."""
+    procs = []
+    try:
+        for _ in range(2):
+            procs.append(subprocess.Popen(VERIFY, stdout=subprocess.PIPE,
+                                          stderr=subprocess.PIPE))
+        outs = [p.communicate(timeout=1800) for p in procs]
+    finally:
+        for p in procs:
+            if p.poll() is None:
+                p.kill()
+                p.wait()
+    return [(p.returncode, out, err.decode())
+            for p, (out, err) in zip(procs, outs)]
 
 
-def test_criterion_02_half_plane_block_constants():
-    _run(acceptance.criterion_02)
+def _check(verify_runs, number):
+    out = verify_runs[0][1].decode()
+    lines = [ln for ln in out.splitlines() if ln.split()[:1] == [str(number)]]
+    assert len(lines) == 1, out + verify_runs[0][2]
+    print(lines[0])
+    assert lines[0].split()[1] == "PASS", lines[0]
 
 
-def test_criterion_03_ratio_bound_random():
-    _run(acceptance.criterion_03)
+def test_criterion_01_extremal_ratio_equality(verify_runs):
+    _check(verify_runs, 1)
 
 
-def test_criterion_04_grid_oracle_equivalence():
-    _run(acceptance.criterion_04)
+def test_criterion_02_half_plane_block_constants(verify_runs):
+    _check(verify_runs, 2)
 
 
-def test_criterion_05_elliptical_range_law():
-    _run(acceptance.criterion_05)
+def test_criterion_03_ratio_bound_random(verify_runs):
+    _check(verify_runs, 3)
 
 
-def test_criterion_06_strict_interior_ratio():
-    _run(acceptance.criterion_06)
+def test_criterion_04_grid_oracle_equivalence(verify_runs):
+    _check(verify_runs, 4)
 
 
-def test_criterion_07_unique_maximizer():
-    _run(acceptance.criterion_07)
+def test_criterion_05_elliptical_range_law(verify_runs):
+    _check(verify_runs, 5)
 
 
-def test_criterion_08_three_by_three_family():
-    _run(acceptance.criterion_08)
+def test_criterion_06_strict_interior_ratio(verify_runs):
+    _check(verify_runs, 6)
 
 
-def test_criterion_09_irreducible_chain_family():
-    _run(acceptance.criterion_09)
+def test_criterion_07_unique_maximizer(verify_runs):
+    _check(verify_runs, 7)
 
 
-def test_criterion_10_certification_round_trip():
-    _run(acceptance.criterion_10)
+def test_criterion_08_three_by_three_family(verify_runs):
+    _check(verify_runs, 8)
 
 
-def test_criterion_11_truncated_direct_sums():
-    _run(acceptance.criterion_11)
+def test_criterion_09_irreducible_chain_family(verify_runs):
+    _check(verify_runs, 9)
 
 
-def test_criterion_12_cli_determinism():
-    cmd = [sys.executable, "-m", "sector_radius", "verify", "--seed", "0"]
-    first = subprocess.run(cmd, capture_output=True, timeout=1800)
-    second = subprocess.run(cmd, capture_output=True, timeout=1800)
-    line = acceptance.format_line(acceptance.CriterionResult(
-        12, "cli-determinism",
-        first.stdout == second.stdout and first.returncode == 0,
-        "two verify runs byte-identical" if first.stdout == second.stdout
-        else "verify runs differ"))
-    print(line)
-    assert first.returncode == 0, first.stdout.decode()
-    assert second.returncode == 0
-    assert first.stdout == second.stdout
+def test_criterion_10_certification_round_trip(verify_runs):
+    _check(verify_runs, 10)
+
+
+def test_criterion_11_truncated_direct_sums(verify_runs):
+    _check(verify_runs, 11)
+
+
+def test_criterion_12_cli_determinism(verify_runs):
+    _check(verify_runs, 12)
+    (code1, out1, err1), (code2, out2, err2) = verify_runs
+    assert code1 == 0, out1.decode() + err1
+    assert code2 == 0, out2.decode() + err2
+    assert out1 == out2

@@ -4,41 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 import sector_radius as sr
+from helpers import (POWERS_OF_TWO, PROPERTY, SEEDS, complex_gaussian,
+                     direct_sum, philox, random_unitary)
 
-RNG = np.random.default_rng(np.random.Philox(20240603))
-
-
-def complex_gaussian(shape, rng=RNG):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-def random_unitary(n, rng=RNG):
-    q, r = np.linalg.qr(complex_gaussian((n, n), rng))
-    d = np.diagonal(r)
-    return q * (d / np.abs(d)).conj()
-
-
-def philox(seed):
-    return np.random.default_rng(np.random.Philox(seed))
-
-
-PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
-SEEDS = st.integers(0, 2 ** 32 - 1)
-POWERS_OF_TWO = st.integers(-60, 60)
+RNG = philox(20240603)
 SECTOR_ANGLES = st.sampled_from([0.3, 0.9, 1.4, 1.5704, math.pi / 2])
-
-
-def direct_sum(*blocks):
-    dim = sum(b.shape[0] for b in blocks)
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    at = 0
-    for b in blocks:
-        out[at:at + b.shape[0], at:at + b.shape[0]] = b
-        at += b.shape[0]
-    return out
 
 
 class TestRatioCheck:
@@ -83,7 +56,7 @@ class TestCanonicalFamilyTest:
     ])
     def test_round_trip_scaled_and_conjugated(self, r, theta, alpha, rec_tol):
         a = sr.r_alpha_matrix(r, theta, alpha)
-        u = random_unitary(2)
+        u = random_unitary(2, RNG)
         form = sr.canonical_family_test(2.5 * (u.conj().T @ a @ u), alpha)
         assert form is not None
         assert form.r == pytest.approx(r, abs=rec_tol)
@@ -160,6 +133,12 @@ class TestCanonicalFamilyTest:
     def test_identity_not_member(self):
         assert sr.canonical_family_test(np.eye(2), math.pi / 4) is None
 
+    @pytest.mark.parametrize("a", [np.diag([1.0, -1.0]), [[0, 1], [0, 0]]],
+                             ids=["negative", "zero"])
+    def test_nonpositive_determinant_not_member(self, a):
+        # members have a positive real determinant
+        assert sr.canonical_family_test(a, 1.0) is None
+
     def test_smaller_angle_not_member(self):
         # touches the rays of a narrower sector, not of this one
         a = sr.r_alpha_matrix(1.5, 0.1, 0.5)
@@ -209,8 +188,8 @@ class TestCompression2x2:
             1e-14)
 
     def test_containment_of_range(self):
-        t = complex_gaussian((4, 4))
-        x = complex_gaussian((4,))
+        t = complex_gaussian((4, 4), RNG)
+        x = complex_gaussian((4,), RNG)
         x /= np.linalg.norm(x)
         comp = sr.compression_2x2(t, x)
         w_comp = sr.numerical_radius(comp)
@@ -219,6 +198,10 @@ class TestCompression2x2:
     def test_requires_unit_vector(self):
         with pytest.raises(sr.ParameterError):
             sr.compression_2x2(np.eye(2), [2.0, 0.0])
+
+    def test_rejects_length_mismatch(self):
+        with pytest.raises(sr.MatrixShapeError, match="vector length 2"):
+            sr.compression_2x2(np.eye(3), [1.0, 0.0])
 
 
 class TestCertifyExtremal:
@@ -259,7 +242,7 @@ class TestCertifyExtremal:
         inv_tau = 1 / sr.tau(alpha)
         nblock = np.diag([0.2, (inv_tau - 0.01) * np.exp(0.5j * alpha)])
         t = direct_sum(sr.extremal_2x2(alpha), nblock)
-        u = random_unitary(4)
+        u = random_unitary(4, RNG)
         rep = sr.certify_extremal(u.conj().T @ t @ u, alpha)
         assert rep.verdict is sr.Verdict.EXTREMAL
         assert rep.block_offdiag_norm <= 1e-7
@@ -268,7 +251,7 @@ class TestCertifyExtremal:
     def test_soundness_against_grid_oracle(self):
         alpha = math.pi / 3
         t = direct_sum(sr.extremal_2x2(alpha), np.diag([0.4 + 0.1j]))
-        u = random_unitary(3)
+        u = random_unitary(3, RNG)
         t = u.conj().T @ t @ u
         rep = sr.certify_extremal(t, alpha, 1e-7)
         assert rep.verdict is sr.Verdict.EXTREMAL
@@ -286,6 +269,22 @@ class TestCertifyExtremal:
         t6, _ = sr.irreducible_family(6, 0.1)
         rep6 = sr.certify_extremal(t6, math.pi / 2)
         assert rep6.verdict is sr.Verdict.EXTREMAL
+
+    def test_every_candidate_an_eigenvector_is_degenerate(self):
+        # I is within the loose tolerance of tau(0.01), but each top right
+        # singular vector x has Ix = x, so span{x, Tx} is one-dimensional
+        rep = sr.certify_extremal(np.eye(2), 0.01, 0.1)
+        assert rep.verdict is sr.Verdict.DEGENERATE
+        assert rep.compression is None
+
+    def test_compression_stage_rejects(self):
+        # W(T) is the disk of radius 1/2 about 1, inside the sector of
+        # half-angle pi/6, and ratio 1.079 is within 0.1 of tau = 1.118;
+        # the invariants of T/||T|| miss the extremal block's by 0.2
+        rep = sr.certify_extremal([[1, 1], [0, 1]], math.pi / 6, 0.1)
+        assert rep.verdict is sr.Verdict.NOT_EXTREMAL
+        assert rep.compression is not None
+        assert rep.tail_radius is None
 
     def test_wrong_angle_is_rejected(self):
         # extremal for pi/3 is not extremal for pi/2

@@ -349,3 +349,57 @@ def test_json_refuses_non_finite(bad):
 def test_document_rejects_boolean_size():
     with pytest.raises(sr.UsageError, match='"n"'):
         parse_matrix_document('{"n": true, "entries": [[[1, 0]]]}')
+
+
+def test_three_by_three_command(capsys):
+    code, out, _ = run_cli(capsys, ["three-by-three", "--d", "0.1",
+                                    "--b1", "0.05", "--b2", "0.02"])
+    assert code == 0
+    np.testing.assert_array_equal(parse_matrix_document(out),
+                                  sr.three_by_three(0.1, 0.05, 0.02))
+
+
+@pytest.mark.parametrize("a, member", [
+    (sr.r_alpha_matrix(1.3, 0.2, 0.8), True), (np.eye(2), False),
+], ids=["member", "non-member"])
+def test_canonical_family_command(capsys, monkeypatch, a, member):
+    code, out, _ = run_cli(capsys, ["canonical-family", "--in", "-",
+                                    "--alpha", "0.8"],
+                           stdin=to_json(matrix_document(a)),
+                           monkeypatch=monkeypatch)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["member"] is member
+    form = sr.canonical_family_test(a, 0.8)
+    assert [payload["r"], payload["theta"]] == (
+        [form.r, form.theta] if member else [None, None])
+
+
+@pytest.mark.parametrize("doc, message", [
+    ("[1, 2]", "must be a JSON object"),
+    ('{"n": 2}', 'needs keys "n" and "entries"'),
+    ('{"n": 2, "entries": [[[0, 0]], [[0, 0], [0, 0]]]}', "row 0 must be"),
+    ('{"n": 1, "entries": [[[NaN, 0]]]}', "must be finite"),
+], ids=["not-an-object", "missing-keys", "short-row", "nan-entry"])
+def test_malformed_document_exit_two(capsys, monkeypatch, doc, message):
+    code, out, err = run_cli(capsys, ["radius", "--in", "-"], stdin=doc,
+                             monkeypatch=monkeypatch)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def test_unreadable_input_exit_two(tmp_path, capsys):
+    code, out, err = run_cli(capsys, ["radius", "--in",
+                                      str(tmp_path / "missing.json")])
+    assert code == 2
+    assert out == ""
+    assert "cannot read" in err
+
+
+def test_unwritable_output_exit_two(tmp_path, capsys):
+    code, out, err = run_cli(capsys, ["extremal", "--alpha", "0.5", "--out",
+                                      str(tmp_path / "no-dir" / "a.json")])
+    assert code == 2
+    assert out == ""
+    assert "cannot write" in err

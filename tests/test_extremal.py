@@ -226,6 +226,13 @@ class TestThreeByThree:
         assert sr.numerical_radius(t) == pytest.approx(
             1 / math.sqrt(2), abs=1e-8)
 
+    @pytest.mark.parametrize("d,b1,b2", [
+        (math.nan, 0.1, 0.0), (0.1, math.inf, 0.0), (0.1, 0.1, -math.inf),
+    ])
+    def test_non_finite_rejected(self, d, b1, b2):
+        with pytest.raises(sr.FeasibilityError, match="must be finite"):
+            sr.three_by_three(d, b1, b2)
+
 
 class TestIrreducibleFamily:
     @pytest.mark.parametrize("n,d", [(4, 0.1), (5, 0.05), (6, 0.1)])
@@ -281,6 +288,11 @@ class TestIrreducibleFamily:
             sr.irreducible_family(4, 0.0)
         with pytest.raises(sr.ParameterError):
             sr.irreducible_family(3, 0.1)
+
+    @pytest.mark.parametrize("eps", [0.0, 1.0, -0.1, math.nan])
+    def test_explicit_epsilon_outside_unit_interval(self, eps):
+        with pytest.raises(sr.ParameterError, match="epsilon must lie"):
+            sr.irreducible_family(4, 0.1, epsilon=eps)
 
     def test_decoupled_chain_is_reducible(self):
         # with the head coupling removed the commutant grows

@@ -4,21 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 import sector_radius as sr
+from helpers import (PROPERTY, SEEDS, complex_gaussian, direct_sum, philox,
+                     random_unitary)
 
-RNG = np.random.default_rng(np.random.Philox(20240601))
-
-
-def complex_gaussian(shape, rng=RNG):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-def random_unitary(n, rng=RNG):
-    q, r = np.linalg.qr(complex_gaussian((n, n), rng))
-    d = np.diagonal(r)
-    return q * (d / np.abs(d)).conj()
+RNG = philox(20240601)
 
 
 class TestCartesianDecompose:
@@ -42,7 +34,7 @@ class TestCartesianDecompose:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
     def test_reconstruction(self, n):
-        t = complex_gaussian((n, n))
+        t = complex_gaussian((n, n), RNG)
         h, g = sr.cartesian_decompose(t)
         assert np.linalg.norm(h - h.conj().T) <= 1e-12 * np.linalg.norm(t)
         assert np.linalg.norm(g - g.conj().T) <= 1e-12 * np.linalg.norm(t)
@@ -82,7 +74,7 @@ class TestHermitianSpectrum:
 
     @pytest.mark.parametrize("n", [2, 4, 7])
     def test_residuals_and_phase(self, n):
-        a = complex_gaussian((n, n))
+        a = complex_gaussian((n, n), RNG)
         m = (a + a.conj().T) / 2
         w, v = sr.hermitian_spectrum(m)
         scale = np.linalg.norm(m, 2)
@@ -137,11 +129,18 @@ class TestOperatorNorm:
                         + math.sqrt((r - 1 / r) ** 2 + 4 * c * c))
         assert sr.operator_norm(a) == pytest.approx(closed, abs=1e-10)
 
+    @pytest.mark.parametrize("s", [1e-300, 1e300])
+    def test_scale_invariance(self, s):
+        # LAPACK scales the input itself: no under- or overflow at 1e+-300
+        t = complex_gaussian((4, 4), philox(4))
+        assert sr.operator_norm(s * t) / s == pytest.approx(
+            sr.operator_norm(t), rel=1e-15, abs=0.0)
+
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_random_unit_vectors_never_exceed(self, n):
-        t = complex_gaussian((n, n))
+        t = complex_gaussian((n, n), RNG)
         norm = sr.operator_norm(t)
-        x = complex_gaussian((10_000, n))
+        x = complex_gaussian((10_000, n), RNG)
         x /= np.linalg.norm(x, axis=1, keepdims=True)
         sampled = np.linalg.norm(x @ t.T, axis=1).max()
         assert sampled <= norm + 1e-10
@@ -159,8 +158,8 @@ class TestCommutantDimension:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_unitary_invariance(self, n):
-        t = complex_gaussian((n, n))
-        u = random_unitary(n)
+        t = complex_gaussian((n, n), RNG)
+        u = random_unitary(n, RNG)
         assert (sr.commutant_dimension(u.conj().T @ t @ u)
                 == sr.commutant_dimension(t))
 
@@ -186,23 +185,6 @@ def kronecker_nullity(t):
     return n * n - int(np.sum(sv > 1e-9 * np.linalg.norm(t)))
 
 
-def block_diagonal(blocks):
-    n = sum(b.shape[0] for b in blocks)
-    t = np.zeros((n, n), dtype=np.complex128)
-    k = 0
-    for b in blocks:
-        m = b.shape[0]
-        t[k:k + m, k:k + m] = b
-        k += m
-    return t
-
-
-def philox(seed):
-    return np.random.default_rng(np.random.Philox(seed))
-
-
-PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
-SEEDS = st.integers(0, 2 ** 32 - 1)
 BLOCK_SIZES = st.lists(st.integers(1, 4), min_size=1, max_size=4).filter(
     lambda sizes: sum(sizes) <= 8)
 
@@ -210,7 +192,7 @@ BLOCK_SIZES = st.lists(st.integers(1, 4), min_size=1, max_size=4).filter(
 def conjugated_sum(seed, sizes):
     """U* (B_1 + ... + B_k) U with Gaussian blocks: dimension len(sizes)."""
     rng = philox(seed)
-    t = block_diagonal([complex_gaussian((m, m), rng) for m in sizes])
+    t = direct_sum(*[complex_gaussian((m, m), rng) for m in sizes])
     u = random_unitary(t.shape[0], rng)
     return u.conj().T @ t @ u
 
@@ -221,7 +203,7 @@ def repeated_block(seed, m, copies):
     rng = philox(seed)
     b = complex_gaussian((m, m), rng)
     u = random_unitary(m * copies, rng)
-    return u.conj().T @ block_diagonal([b] * copies) @ u
+    return u.conj().T @ direct_sum(*[b] * copies) @ u
 
 
 def normal_repeated(seed, multiplicities):
@@ -282,8 +264,7 @@ class TestCommutantAgainstKronecker:
         elif case == "normal":
             t = normal_repeated(3, [3, 1, 1])
         else:
-            t = block_diagonal([2 * np.eye(3), complex_gaussian((3, 3),
-                                                               philox(3))])
+            t = direct_sum(2 * np.eye(3), complex_gaussian((3, 3), philox(3)))
         expected = kronecker_nullity(t)
 
         def no_svd(*args, **kwargs):
@@ -335,8 +316,8 @@ class TestSimilarityInvariants2x2:
         assert sr.invariants_close(ia, ib, 1e-12)
 
     def test_unitary_invariance(self):
-        a = complex_gaussian((2, 2))
-        u = random_unitary(2)
+        a = complex_gaussian((2, 2), RNG)
+        u = random_unitary(2, RNG)
         assert sr.invariants_close(
             sr.similarity_invariants_2x2(a),
             sr.similarity_invariants_2x2(u.conj().T @ a @ u), 1e-12)

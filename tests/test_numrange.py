@@ -6,28 +6,16 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 import sector_radius as sr
+from helpers import (POWERS_OF_TWO, PROPERTY, SEEDS, complex_gaussian,
+                     direct_sum, philox, random_unitary)
 from sector_radius import numrange, tolerances
 from sector_radius.matcore import matrix_scale
 from sector_radius.numrange import _PENCIL_ENTRIES, _support_values
 
-RNG = np.random.default_rng(np.random.Philox(20240602))
-
-
-def complex_gaussian(shape, rng=RNG):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-def philox(seed):
-    return np.random.default_rng(np.random.Philox(seed))
-
-
-def random_unitary(n, rng):
-    q, r = np.linalg.qr(complex_gaussian((n, n), rng))
-    d = np.diagonal(r)
-    return q * (d / np.abs(d)).conj()
+RNG = philox(20240602)
 
 
 def decoy_matrix(m):
@@ -53,11 +41,6 @@ def counting_sweeps(monkeypatch):
     return sweeps
 
 
-PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
-SEEDS = st.integers(0, 2 ** 32 - 1)
-POWERS_OF_TWO = st.integers(-60, 60)
-
-
 B1 = np.array([[2 / 3, 1 / math.sqrt(3)], [-1 / math.sqrt(3), 0.0]])
 
 
@@ -78,7 +61,7 @@ class TestSupportValue:
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_boundary_point_matches_support(self, n):
-        t = complex_gaussian((n, n))
+        t = complex_gaussian((n, n), RNG)
         for theta in (0.0, 1.1, 3.9):
             s = sr.support_value(t, theta)
             proj = (np.exp(-1j * theta) * s.boundary_point).real
@@ -108,14 +91,14 @@ class TestNumericalRadius:
 
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_rotation_invariance(self, n):
-        t = complex_gaussian((n, n))
+        t = complex_gaussian((n, n), RNG)
         w = sr.numerical_radius(t)
         for phi in (0.4, 1.9, 5.0):
             assert sr.numerical_radius(np.exp(1j * phi) * t) == pytest.approx(
                 w, abs=1e-10)
 
     def test_translation_subadditivity(self):
-        t = complex_gaussian((3, 3))
+        t = complex_gaussian((3, 3), RNG)
         w = sr.numerical_radius(t)
         for c in (0.5, 1 + 2j, -3j):
             assert (sr.numerical_radius(t + c * np.eye(3))
@@ -123,7 +106,7 @@ class TestNumericalRadius:
 
     @pytest.mark.parametrize("n", [2, 3, 5, 7])
     def test_norm_bracket(self, n):
-        t = complex_gaussian((n, n))
+        t = complex_gaussian((n, n), RNG)
         w = sr.numerical_radius(t)
         norm = sr.operator_norm(t)
         assert w <= norm + 1e-10
@@ -253,7 +236,7 @@ class TestHighPrecisionOracle:
 class TestGridOracle:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_matches_refined_radius(self, n):
-        t = complex_gaussian((n, n))
+        t = complex_gaussian((n, n), RNG)
         assert abs(sr.numerical_radius(t)
                    - sr.grid_radius(t, 1_000_000)) <= 1e-6
 
@@ -299,8 +282,15 @@ class TestGridOracle:
     def test_zero_matrix(self, n):
         assert sr.grid_radius(np.zeros((n, n)), 10 ** 6) == 0.0
 
+    def test_one_by_one(self):
+        assert sr.grid_radius([[3 + 4j]], 10 ** 6) == 5.0
+
+    def test_too_few_points(self):
+        with pytest.raises(sr.ParameterError, match="at least 8 points"):
+            sr.grid_radius(np.eye(2), 7)
+
     def test_radius_matches_coarse_grid_at_n9(self):
-        t = complex_gaussian((9, 9))
+        t = complex_gaussian((9, 9), RNG)
         assert abs(sr.numerical_radius(t) - sr.grid_radius(t, 20_000)) <= 1e-5
 
 
@@ -361,7 +351,7 @@ class TestBoundaryPoints:
             assert abs(z.imag) <= z.real * math.tan(math.pi / 4) + 1e-9
 
     def test_convexity_of_polygon(self):
-        t = complex_gaussian((3, 3))
+        t = complex_gaussian((3, 3), RNG)
         pts = sr.boundary_points(t, 64)
         # every polygon vertex satisfies all supporting halfplanes
         for s in pts:
@@ -405,7 +395,7 @@ class TestEllipse2x2:
 
     def test_radius_consistency_random(self):
         for _ in range(25):
-            t = complex_gaussian((2, 2))
+            t = complex_gaussian((2, 2), RNG)
             assert sr.ellipse_radius(sr.ellipse_2x2(t)) == pytest.approx(
                 sr.numerical_radius(t), abs=1e-8)
 
@@ -413,7 +403,7 @@ class TestEllipse2x2:
         # at 1e-300 the squared axes underflow unless they are rescaled,
         # and an absolute cut on the support norm would return the centre
         for _ in range(10):
-            t = complex_gaussian((2, 2))
+            t = complex_gaussian((2, 2), RNG)
             samples = sr.boundary_points(t, 90)
             for scale in (1.0, 1e-300):
                 desc = sr.ellipse_2x2(scale * t)
@@ -424,6 +414,19 @@ class TestEllipse2x2:
     def test_rejects_wrong_size(self):
         with pytest.raises(sr.MatrixShapeError):
             sr.ellipse_2x2(np.eye(3))
+
+    def test_coincident_foci(self):
+        # a Jordan block: W(T) is the disk of radius 1/2 about 1
+        e = sr.ellipse_2x2([[1, 1], [0, 1]])
+        assert e.focus1 == e.focus2 == 1.0
+        assert e.axis_phase == 0.0
+        assert sr.ellipse_support_point(e, math.pi / 2) == pytest.approx(
+            1 + 0.5j, abs=1e-15)
+
+    def test_one_point_ellipse(self):
+        e = sr.ellipse_2x2(2j * np.eye(2))
+        assert e.major_axis_length == 0.0
+        assert sr.ellipse_support_point(e, 0.7) == 2j
 
 
 class TestSectorContains:
@@ -477,16 +480,14 @@ class TestMinSectorAngle:
         assert sr.min_sector_angle(t) == pytest.approx(math.pi / 2)
 
     def test_kernel_splits_off(self):
-        inner = sr.extremal_2x2(0.6)
-        t = np.zeros((3, 3), dtype=complex)
-        t[1:, 1:] = inner
+        t = direct_sum(np.zeros((1, 1)), sr.extremal_2x2(0.6))
         assert sr.min_sector_angle(t) == pytest.approx(0.6, abs=1e-9)
 
     def test_consistency_with_sector_contains(self):
-        rng = np.random.default_rng(np.random.Philox(5))
+        rng = philox(5)
         for _ in range(20):
             n = int(rng.integers(2, 5))
-            a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            a = complex_gaussian((n, n), rng)
             h = a.conj().T @ a + 0.1 * np.eye(n)
             k = a + a.conj().T
             k *= rng.uniform(0.1, 2.0) / np.linalg.norm(k, 2)
@@ -577,8 +578,7 @@ def touching(seed):
     rng = philox(seed)
     alpha = rng.uniform(0.2, math.pi / 2)
     n = 2 + int(rng.integers(0, 3))
-    t = np.zeros((n, n), dtype=complex)
-    t[:2, :2] = sr.extremal_2x2(alpha)
+    t = direct_sum(sr.extremal_2x2(alpha), np.zeros((n - 2, n - 2)))
     u = random_unitary(n, rng)
     return u.conj().T @ t @ u
 
@@ -590,8 +590,8 @@ def partial_kernel(seed):
     rng = philox(seed)
     n = int(rng.integers(2, 7))
     m = int(rng.integers(1, n))
-    t = np.zeros((n, n), dtype=complex)
-    t[m:, m:] = sectorial(int(rng.integers(0, 2 ** 32)), n - m)
+    t = direct_sum(np.zeros((m, m)),
+                   sectorial(int(rng.integers(0, 2 ** 32)), n - m))
     kind = int(rng.integers(0, 3))
     if kind:
         g = complex_gaussian((n, n), rng)
