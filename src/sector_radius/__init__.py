@@ -17,12 +17,10 @@ from .errors import (
 )
 from .matcore import (
     CartesianPair,
-    HermitianSpectrum,
     SimilarityInvariants2x2,
     as_square_matrix,
     cartesian_decompose,
     commutant_dimension,
-    hermitian_spectrum,
     invariants_close,
     operator_norm,
     similarity_invariants_2x2,
@@ -78,7 +76,6 @@ __all__ = [
     "EllipseDescriptor",
     "ExtremalParameters",
     "FeasibilityError",
-    "HermitianSpectrum",
     "MatrixShapeError",
     "ParameterError",
     "RatioCheck",
@@ -104,7 +101,6 @@ __all__ = [
     "extremal_2x2",
     "extremal_params",
     "grid_radius",
-    "hermitian_spectrum",
     "invariants_close",
     "irreducible_family",
     "min_sector_angle",

@@ -49,27 +49,29 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
         np.random.Philox(np.random.SeedSequence(seed, spawn_key=(stream,))))
 
 
-def complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
+def complex_gaussian(shape, rng: np.random.Generator) -> np.ndarray:
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    q, r = np.linalg.qr(complex_gaussian(rng, (n, n)))
+def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar unitary: QR of a complex Gaussian with R's diagonal phases
+    moved into Q."""
+    q, r = np.linalg.qr(complex_gaussian((n, n), rng))
     d = np.diagonal(r)
     return q * (d / np.abs(d)).conj()
 
 
-def hermitian_gaussian(rng: np.random.Generator, n: int) -> np.ndarray:
-    a = complex_gaussian(rng, (n, n))
+def hermitian_gaussian(n: int, rng: np.random.Generator) -> np.ndarray:
+    a = complex_gaussian((n, n), rng)
     return (a + a.conj().T) / 2.0
 
 
-def sectorial_sample(rng: np.random.Generator, n: int, alpha: float):
+def sectorial_sample(n: int, alpha: float, rng: np.random.Generator):
     """Matrix with numerical range inside the sector of half-angle alpha:
     H = R*R + 0.1 I and G = H^(1/2) K H^(1/2) with ||K|| <= tan(alpha)."""
-    r = complex_gaussian(rng, (n, n))
+    r = complex_gaussian((n, n), rng)
     h = r.conj().T @ r + 0.1 * np.eye(n)
-    k = hermitian_gaussian(rng, n)
+    k = hermitian_gaussian(n, rng)
     k *= math.tan(alpha) * rng.uniform(0.0, 1.0) / np.linalg.norm(k, 2)
     w, v = np.linalg.eigh(h)
     root = (v * np.sqrt(w)) @ v.conj().T
@@ -113,7 +115,7 @@ def criterion_03(seed: int) -> CriterionResult:
     for _ in range(cases):
         n = int(rng.integers(2, 7))
         alpha = rng.uniform(0.05, 1.45)
-        t = sectorial_sample(rng, n, alpha)
+        t = sectorial_sample(n, alpha, rng)
         if sector_contains(t, alpha):
             contained += 1
         excess = ratio_of(t) - tau(alpha)
@@ -131,7 +133,7 @@ def criterion_04(seed: int) -> CriterionResult:
     worst = 0.0
     for i in range(200):
         n = 2 + i % 5
-        t = complex_gaussian(rng, (n, n))
+        t = complex_gaussian((n, n), rng)
         worst = max(worst, abs(numerical_radius(t) - grid_radius(t, 1_000_000)))
     passed = worst <= 1e-6
     return CriterionResult(4, "grid-oracle-equivalence", passed,
@@ -143,7 +145,7 @@ def criterion_05(seed: int) -> CriterionResult:
     rng = _rng(seed, 5)
     worst = 0.0
     for _ in range(100):
-        t = complex_gaussian(rng, (2, 2))
+        t = complex_gaussian((2, 2), rng)
         desc = ellipse_2x2(t)
         for s in boundary_points(t, 720):
             worst = max(worst, abs(s.boundary_point
@@ -294,7 +296,7 @@ def _conjugated_direct_sum(rng: np.random.Generator, alpha: float,
     t = np.zeros((2 + m, 2 + m), dtype=np.complex128)
     t[:2, :2] = extremal_2x2(alpha)
     t[2:, 2:] = n_block
-    u = random_unitary(rng, 2 + m)
+    u = random_unitary(2 + m, rng)
     return u.conj().T @ t @ u
 
 

@@ -21,10 +21,10 @@ from . import tolerances as tol
 from .errors import DegenerateError, MatrixShapeError, ParameterError
 from .matcore import (
     as_square_matrix,
-    binary_scale,
     eigenvalues_2x2,
     invariants_close,
     operator_norm,
+    scaled_square_matrix,
     similarity_invariants_2x2,
     top_right_singular_vectors,
 )
@@ -60,7 +60,7 @@ def ratio_check(t) -> RatioCheck:
     When no sector contains W(T) the generic bound ||T|| <= 2 w(T) applies
     and ``bound`` is 2.
     """
-    t = as_square_matrix(t)
+    t, _ = scaled_square_matrix(t)  # the answers are invariant under T -> cT
     norm = operator_norm(t)
     if norm == 0.0:
         raise DegenerateError("ratio of the zero matrix is undefined")
@@ -97,11 +97,10 @@ def canonical_family_test(a, alpha) -> RecoveredForm | None:
 
     Returns the recovered (r, theta), or None if A is not a member.
     """
-    a = as_square_matrix(a)
+    a, _ = scaled_square_matrix(a)
     if a.shape != (2, 2):
         raise MatrixShapeError(f"expected a 2x2 matrix, got {a.shape}")
     alpha = validate_sector_angle(alpha)
-    a = a / binary_scale(a)
     det = similarity_invariants_2x2(a).determinant
     if det.real <= 0.0:
         return None
@@ -198,13 +197,11 @@ def certify_extremal(t, alpha, tol_cert: float | None = None) -> CertificationRe
     and chain families show extremal matrices there need carry no
     direct-sum structure.
     """
-    t = as_square_matrix(t)
+    t, _ = scaled_square_matrix(t)  # the report is invariant under T -> cT
     alpha = validate_sector_angle(alpha)
     if alpha <= 0.0:
         raise ParameterError("certification needs alpha in (0, pi/2]")
-    if tol_cert is None:
-        tol_cert = tol.default_certify_tol()
-    tol_cert = float(tol_cert)
+    tol_cert = tol.DEFAULT_CERTIFY_TOL if tol_cert is None else float(tol_cert)
     if not math.isfinite(tol_cert) or tol_cert <= 0.0:
         raise ParameterError(
             f"tolerance must be finite and positive, got {tol_cert}")

@@ -9,6 +9,8 @@ malformed JSON).
 from __future__ import annotations
 
 import argparse
+import math
+import os
 import sys
 
 from . import tolerances
@@ -37,6 +39,9 @@ from .numrange import (
     sector_contains,
 )
 from .matcore import operator_norm
+
+
+TOL_ENV_VAR = "SECTOR_RADIUS_TOL"
 
 
 def _print_json(payload) -> None:
@@ -142,8 +147,25 @@ def _cmd_canonical_family(args) -> int:
     return 0
 
 
+def _certify_tol(args) -> float | None:
+    """--tol, else the environment's tolerance, else None (the default)."""
+    raw = os.environ.get(TOL_ENV_VAR)
+    if args.tol is not None or raw is None:
+        return args.tol
+    try:
+        value = float(raw)
+    except ValueError as exc:
+        raise UsageError(
+            f"{TOL_ENV_VAR} must be a positive real, got {raw!r}") from exc
+    if not math.isfinite(value) or value <= 0:
+        raise UsageError(
+            f"{TOL_ENV_VAR} must be finite and positive, got {value}")
+    return value
+
+
 def _cmd_certify(args) -> int:
-    rep = certify_extremal(read_matrix(args.infile), args.alpha, args.tol)
+    t = read_matrix(args.infile)
+    rep = certify_extremal(t, args.alpha, _certify_tol(args))
     payload = {
         "verdict": rep.verdict.value,
         "alpha": rep.alpha,
@@ -279,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_alpha(sub)
     sub.add_argument("--tol", type=float, default=None,
                      help=(f"certification tolerance; overrides env "
-                           f"{tolerances.TOL_ENV_VAR} (default "
+                           f"{TOL_ENV_VAR} (default "
                            f"{tolerances.DEFAULT_CERTIFY_TOL})"))
     sub.set_defaults(func=_cmd_certify)
 

@@ -1,11 +1,12 @@
 """Dense complex linear algebra kernels.
 
 Everything downstream works with plain ``numpy.ndarray`` matrices
-(``complex128``, square).  This module provides validation, the Cartesian
-(Hermitian/skew) decomposition, Hermitian eigensystems with deterministic
-eigenvector phases, operator norms, the commutant dimension used for
-irreducibility tests, and the complete unitary-similarity invariants for
-2x2 matrices.
+(``complex128``, square).  This module provides validation, the one
+power-of-two rescale that scale-invariant routines apply at entry
+(`scaled_square_matrix`), the Cartesian (Hermitian/skew) decomposition,
+operator norms and top singular vectors with deterministic phases, the
+commutant dimension used for irreducibility tests, and the closed-form 2x2
+eigenvalues and complete unitary-similarity invariants.
 """
 
 from __future__ import annotations
@@ -30,11 +31,32 @@ def as_square_matrix(a, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def matrix_scale(t: np.ndarray) -> float:
-    """Scale used for relative tolerances: the Frobenius norm, taken of
-    ``t / binary_scale(t)`` so that it neither under- nor overflows."""
-    s = binary_scale(t)
-    return s * float(np.linalg.norm(t / s))
+def scaled_square_matrix(a) -> tuple[np.ndarray, float]:
+    """``as_square_matrix(a)`` divided by its ``binary_scale``, and that scale.
+
+    The division is exact (but for entries more than 2^1022 times smaller
+    than the largest, which round to subnormals), so a routine whose answer
+    is invariant under T -> cT reads it from the scaled matrix, and one
+    that returns a magnitude multiplies it back by the scale.  The largest
+    entry modulus of the result lies in [2^-500, 2^500], so products of its
+    entries and its Frobenius norm, which every relative cut is taken
+    against, neither under- nor overflow.
+    """
+    arr = as_square_matrix(a)
+    s = binary_scale(arr)
+    arr /= s
+    return arr, s
+
+
+def binary_scale(a: np.ndarray) -> float:
+    """Power of two to divide ``a`` by before a closed form multiplies entries.
+
+    1 while the largest entry modulus lies in [2^-500, 2^500], where
+    squares and products of entries stay normal and finite; otherwise the
+    largest normal power of two not above it.  Dividing by it is exact.
+    """
+    e = math.frexp(float(np.abs(a).max()))[1]
+    return 1.0 if abs(e) <= 500 else math.ldexp(1.0, max(e - 1, -1022))
 
 
 class CartesianPair(NamedTuple):
@@ -57,13 +79,6 @@ def cartesian_decompose(t) -> CartesianPair:
     return CartesianPair(h, g)
 
 
-class HermitianSpectrum(NamedTuple):
-    """Ascending eigenvalues and the matching orthonormal eigenvectors."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 def _phase_normalize(v: np.ndarray) -> np.ndarray:
     """Rotate each column so its first non-negligible entry is real >= 0."""
     v = v.copy()
@@ -74,23 +89,6 @@ def _phase_normalize(v: np.ndarray) -> np.ndarray:
             pivot = col[nz[0]]
             col *= np.conj(pivot) / abs(pivot)
     return v
-
-
-def hermitian_spectrum(m) -> HermitianSpectrum:
-    """Eigendecomposition of a Hermitian matrix.
-
-    The input must be Hermitian within ``HERMITIAN_RTOL`` relative to its
-    scale.  Eigenvalues come back ascending; each eigenvector has its first
-    nonzero component phase-normalized to be real nonnegative, which makes
-    the output reproducible across runs.
-    """
-    m = as_square_matrix(m)
-    scale = matrix_scale(m)
-    if np.linalg.norm(m - m.conj().T) > tol.HERMITIAN_RTOL * scale:
-        raise MatrixShapeError("matrix is not Hermitian within tolerance")
-    sym = (m + m.conj().T) / 2.0
-    w, v = np.linalg.eigh(sym)
-    return HermitianSpectrum(w, _phase_normalize(v))
 
 
 def operator_norm(t) -> float:
@@ -133,11 +131,10 @@ def commutant_dimension(t) -> int:
     system's norm is at most 2 ||(E_H, E_G)||_F, so a set where this bound
     is within the cut adds m^2 without forming the O(m^4) system.
     """
-    t = as_square_matrix(t)
-    t = t / binary_scale(t)  # exact; keeps scale * scale below overflow
+    t, _ = scaled_square_matrix(t)  # keeps scale * scale below overflow
     n = t.shape[0]
     h, g = cartesian_decompose(t)
-    scale = matrix_scale(t)
+    scale = float(np.linalg.norm(t))
     w, u = np.linalg.eigh(h + 0.6180339887498949 * g)
     hu, gu = (u.conj().T @ x @ u for x in (h, g))
     cluster = np.cumsum(
@@ -172,17 +169,6 @@ def commutant_dimension(t) -> int:
         sv = np.linalg.svd(stacked, compute_uv=False)
         dim += m * m - int(np.sum(sv > cut))
     return dim
-
-
-def binary_scale(a: np.ndarray) -> float:
-    """Power of two to divide ``a`` by before a closed form multiplies entries.
-
-    1 while the largest entry modulus lies in [2^-500, 2^500], where
-    squares and products of entries stay normal and finite; otherwise the
-    largest normal power of two not above it.  Dividing by it is exact.
-    """
-    e = math.frexp(float(np.abs(a).max()))[1]
-    return 1.0 if abs(e) <= 500 else math.ldexp(1.0, max(e - 1, -1022))
 
 
 def eigenvalues_2x2(a: np.ndarray) -> tuple[complex, complex]:

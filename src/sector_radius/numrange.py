@@ -28,7 +28,7 @@ import numpy as np
 from . import tolerances as tol
 from .errors import MatrixShapeError, ParameterError
 from .matcore import (as_square_matrix, binary_scale, cartesian_decompose,
-                      eigenvalues_2x2, matrix_scale)
+                      eigenvalues_2x2, scaled_square_matrix)
 
 HALF_PI = math.pi / 2.0
 
@@ -175,11 +175,9 @@ def numerical_radius(t) -> float:
     """Numerical radius w(T): the largest support value met by a 1024-angle
     scan (`_scan`, 512 eigensolves) and by Newton ascent (`_newton_max`)
     from its eight highest peaks."""
-    t = as_square_matrix(t)
+    t, s = scaled_square_matrix(t)  # keeps `_newton_max`'s f'' finite
     if t.shape[0] == 1:
-        return float(abs(t[0, 0]))
-    s = binary_scale(t)
-    t = t / s  # exact; keeps the derivatives in `_newton_max` finite
+        return s * float(abs(t[0, 0]))
     h, g = cartesian_decompose(t)
     m = tol.RADIUS_GRID_POINTS
     vals = _scan(h, g, m)
@@ -187,7 +185,7 @@ def numerical_radius(t) -> float:
                            & (vals >= np.roll(vals, -1)))
     order = np.lexsort((local, -vals[local]))
     pick = local[order][:tol.RADIUS_REFINE_BRACKETS]
-    cut = t.shape[0] * np.finfo(float).eps * matrix_scale(t)
+    cut = t.shape[0] * np.finfo(float).eps * float(np.linalg.norm(t))
     refined = _newton_max(h, g, 2.0 * math.pi * pick / m, 2.0 * math.pi / m,
                           cut)
     return s * max(float(vals.max()), refined)
@@ -245,13 +243,11 @@ def ellipse_2x2(a) -> EllipseDescriptor:
 
     The foci are the eigenvalues and the minor axis has length
     sqrt(tr(AA*) - |l1|^2 - |l2|^2); tiny negative radicands from rounding
-    are clamped to zero.  Both are evaluated on ``a / binary_scale(a)``.
+    are clamped to zero.  Both are evaluated on the scaled matrix.
     """
-    a = as_square_matrix(a)
+    a, s = scaled_square_matrix(a)
     if a.shape != (2, 2):
         raise MatrixShapeError(f"expected a 2x2 matrix, got {a.shape}")
-    s = binary_scale(a)
-    a = a / s
     lam = sorted(eigenvalues_2x2(a), key=lambda z: (z.real, z.imag))
     fro2 = float(np.sum(np.abs(a) ** 2))
     radicand = fro2 - abs(lam[0]) ** 2 - abs(lam[1]) ** 2
@@ -304,12 +300,12 @@ def sector_contains(t, alpha) -> bool:
     count as nonpositive, because extremal matrices touch the sector
     boundary exactly.
     """
-    t = as_square_matrix(t)
+    t, _ = scaled_square_matrix(t)
     alpha = validate_sector_angle(alpha)
     h, g = cartesian_decompose(t)
     normals = np.array([HALF_PI + alpha, -HALF_PI - alpha, math.pi])
     return bool(_support_values(h, g, normals)[0].max()
-                <= tol.PSD_RTOL * matrix_scale(t))
+                <= tol.PSD_RTOL * float(np.linalg.norm(t)))
 
 
 def min_sector_angle(t) -> float | None:
@@ -323,9 +319,9 @@ def min_sector_angle(t) -> float | None:
     R = V_+ / sqrt(w_+) holds the remaining eigenpairs of H, and the
     answer is arctan of its spectral radius (0 when H vanishes).
     """
-    t = as_square_matrix(t)
+    t, _ = scaled_square_matrix(t)
     h, g = cartesian_decompose(t)
-    cut = tol.PSD_RTOL * matrix_scale(t)
+    cut = tol.PSD_RTOL * float(np.linalg.norm(t))
     w, v = np.linalg.eigh(h)
     if w[0] < -cut:
         return None
@@ -357,15 +353,15 @@ def grid_radius(t, points: int = 1_000_000) -> float:
     `numerical_radius`.  When W(T) is a disk centred at 0 the support
     function is constant and every angle is evaluated.
     """
-    t = as_square_matrix(t)
+    t, s = scaled_square_matrix(t)
     points = int(points)
     if points < 8:
         raise ParameterError(f"grid needs at least 8 points, got {points}")
     n = t.shape[0]
     if n == 1:
-        return float(abs(t[0, 0]))
+        return s * float(abs(t[0, 0]))
     h, g = cartesian_decompose(t)
-    slack = 4.0 * n * np.finfo(float).eps * matrix_scale(t)
+    slack = 4.0 * n * np.finfo(float).eps * float(np.linalg.norm(t))
     width = 1
     while width * 256 <= points:
         width *= 16
@@ -391,4 +387,4 @@ def grid_radius(t, points: int = 1_000_000) -> float:
             kids = (keep[lo:lo + _GRID_BLOCKS // 16, None]
                     + width // 16 * np.arange(16)).ravel()
             blocks.append((width // 16, kids[kids < points]))
-    return best
+    return s * best

@@ -1,27 +1,27 @@
 """Seeded matrix generators and hypothesis settings shared by the unit tests.
 
-The generators take their numpy Generator as an argument: a test module
-passes its own module-level stream, or a fresh ``philox(seed)``.
+The generators come from the acceptance suite and take their numpy
+Generator last: a test module passes its own module-level stream, or a
+fresh ``philox(seed)``.
 """
+
+import math
 
 import numpy as np
 from hypothesis import settings, strategies as st
+
+from sector_radius.acceptance import complex_gaussian, random_unitary
 
 
 def philox(seed):
     return np.random.default_rng(np.random.Philox(seed))
 
 
-def complex_gaussian(shape, rng):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-def random_unitary(n, rng):
-    """Haar unitary: QR of a complex Gaussian with R's diagonal phases
-    moved into Q."""
-    q, r = np.linalg.qr(complex_gaussian((n, n), rng))
-    d = np.diagonal(r)
-    return q * (d / np.abs(d)).conj()
+def to_binade(t, e):
+    """(t 2^k, k) with the largest entry modulus of t 2^k in [2^(e-1), 2^e).
+    Two multiplications keep 2^k finite for every k a double can need."""
+    k = e - math.frexp(float(np.abs(t).max()))[1]
+    return t * 2.0 ** (k // 2) * 2.0 ** (k - k // 2), k
 
 
 def direct_sum(*blocks):
@@ -37,3 +37,6 @@ def direct_sum(*blocks):
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
 SEEDS = st.integers(0, 2 ** 32 - 1)
 POWERS_OF_TWO = st.integers(-60, 60)
+# Largest entry modulus just under the largest double, or at the smallest
+# normal one.
+EXTREME_BINADES = st.sampled_from([1023, -1021])

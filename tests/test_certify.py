@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import sector_radius as sr
-from helpers import (POWERS_OF_TWO, PROPERTY, SEEDS, complex_gaussian,
-                     direct_sum, philox, random_unitary)
+from helpers import (EXTREME_BINADES, POWERS_OF_TWO, PROPERTY, SEEDS,
+                     complex_gaussian, direct_sum, philox, random_unitary,
+                     to_binade)
 
 RNG = philox(20240603)
 SECTOR_ANGLES = st.sampled_from([0.3, 0.9, 1.4, 1.5704, math.pi / 2])
@@ -37,6 +38,14 @@ class TestRatioCheck:
     def test_zero_matrix_degenerate(self):
         with pytest.raises(sr.DegenerateError):
             sr.ratio_check(np.zeros((2, 2)))
+
+    def test_norm_beyond_largest_double(self):
+        # the largest entry of T 2^1022 is below 2^1023, but its norm,
+        # 5.5 * 2^1022, overflows; neither answer depends on the scale
+        t = 1.8 * np.ones((3, 3)) + 0.1 * np.eye(3)
+        assert sr.ratio_check(2.0 ** 1022 * t) == sr.ratio_check(t)
+        assert (sr.certify_extremal(2.0 ** 1022 * t, 0.5).verdict
+                is sr.certify_extremal(t, 0.5).verdict)
 
 
 class TestCanonicalFamilyTest:
@@ -301,6 +310,17 @@ class TestCertifyExtremal:
             with pytest.raises(sr.ParameterError):
                 sr.certify_extremal(np.eye(2), 1.0, tol_cert=bad)
 
+    def test_default_tolerance_ignores_environment(self, monkeypatch):
+        # the coupling shrunk by 1%: extremal within 0.1, not within 1e-7;
+        # only the command line reads SECTOR_RADIUS_TOL
+        alpha = math.pi / 4
+        p = sr.extremal_params(alpha)
+        phase = np.exp(1j * p.theta)
+        t = np.array([[phase, 2 * p.c * 0.99], [0, np.conj(phase)]]) / p.norm
+        assert sr.certify_extremal(t, alpha, 0.1).verdict is sr.Verdict.EXTREMAL
+        monkeypatch.setenv("SECTOR_RADIUS_TOL", "0.1")
+        assert sr.certify_extremal(t, alpha).verdict is sr.Verdict.NOT_EXTREMAL
+
     def test_report_carries_attaining_vector(self):
         alpha = 0.7
         t = direct_sum(sr.extremal_2x2(alpha), np.zeros((1, 1), complex))
@@ -381,6 +401,14 @@ class TestSectorLayerInvariance:
                               sr.canonical_family_test(2.0 ** k * a, alpha))
 
     @PROPERTY
+    @given(SEEDS, SECTOR_ANGLES, EXTREME_BINADES)
+    def test_family_extreme_binades(self, seed, alpha, e):
+        a = family_input(seed, alpha)
+        self.assert_same_form(sr.canonical_family_test(a, alpha),
+                              sr.canonical_family_test(to_binade(a, e)[0],
+                                                       alpha))
+
+    @PROPERTY
     @given(SEEDS, SECTOR_ANGLES, SEEDS)
     def test_family_unitary_similarity(self, seed, alpha, useed):
         a = family_input(seed, alpha)
@@ -402,6 +430,26 @@ class TestSectorLayerInvariance:
         t = certify_input(seed, alpha)
         assert (sr.certify_extremal(2.0 ** k * t, alpha).verdict
                 is sr.certify_extremal(t, alpha).verdict)
+
+    @PROPERTY
+    @given(SEEDS, SECTOR_ANGLES, EXTREME_BINADES)
+    def test_certify_extreme_binades(self, seed, alpha, e):
+        # near 2^1023 the norm of T itself may overflow
+        t = certify_input(seed, alpha)
+        assert (sr.certify_extremal(to_binade(t, e)[0], alpha).verdict
+                is sr.certify_extremal(t, alpha).verdict)
+
+    @PROPERTY
+    @given(SEEDS, SECTOR_ANGLES, EXTREME_BINADES)
+    def test_ratio_check_extreme_binades(self, seed, alpha, e):
+        t = certify_input(seed, alpha)
+        res, res2 = sr.ratio_check(t), sr.ratio_check(to_binade(t, e)[0])
+        assert (res.alpha_min is None) == (res2.alpha_min is None)
+        if res.alpha_min is not None:
+            assert res2.alpha_min == pytest.approx(res.alpha_min, abs=1e-12)
+        assert res2.ratio == pytest.approx(res.ratio, rel=1e-12)
+        assert res2.bound == pytest.approx(res.bound, rel=1e-12)
+        assert res2.ok is res.ok
 
     @PROPERTY
     @given(SEEDS, SECTOR_ANGLES, SEEDS)

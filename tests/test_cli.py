@@ -96,6 +96,29 @@ def test_radius_near_overflow(capsys, monkeypatch):
         1e308 * ((1 + math.sqrt(2)) / 2), rel=1e-14)
 
 
+@pytest.mark.parametrize("t", [[[1, 1], [0, 1]],
+                               [[1, 1, 0], [0, 1, 0], [0, 0, 1]]],
+                         ids=["2x2", "3x3"])
+def test_sector_answers_near_overflow(tmp_path, capsys, t):
+    # W(T) is the disk of radius 1e308 / 2 about 1e308, which lies in the
+    # sector of half-angle pi/6 and in no smaller one; ||T||_F overflows
+    path = tmp_path / "big.json"
+    path.write_text(to_json(matrix_document(1e308 * np.array(t))))
+    cases = {"sector": ["--alpha", "0.5"], "sector-angle": [],
+             "ratio": [], "certify": ["--alpha", "0.5"]}
+    out = {}
+    for command, extra in cases.items():
+        code, text, _ = run_cli(capsys, [command, "--in", str(path), *extra])
+        assert code == 0
+        out[command] = json.loads(text)
+    assert out["sector"]["contained"] is False
+    assert out["sector-angle"]["alpha"] == pytest.approx(math.pi / 6,
+                                                         abs=1e-15)
+    assert out["ratio"]["alpha_min"] == pytest.approx(math.pi / 6, abs=1e-12)
+    assert out["ratio"]["ok"] is True
+    assert out["certify"]["verdict"] == "not_in_sector"
+
+
 def test_boolean_entries_exit_two(capsys, monkeypatch):
     code, out, err = run_cli(capsys, ["radius", "--in", "-"],
                              stdin='{"n": 1, "entries": [[[true, false]]]}',

@@ -50,53 +50,6 @@ class TestCartesianDecompose:
             sr.cartesian_decompose([[np.nan, 0], [0, 0]])
 
 
-class TestHermitianSpectrum:
-    def test_diagonal(self):
-        w, _ = sr.hermitian_spectrum(np.diag([3.0, -1.0, 2.0]))
-        np.testing.assert_allclose(w, [-1.0, 2.0, 3.0], atol=1e-14)
-
-    def test_pauli_type(self):
-        w, v = sr.hermitian_spectrum([[0, 1], [1, 0]])
-        np.testing.assert_allclose(w, [-1.0, 1.0], atol=1e-14)
-        # unitary eigenvector matrix
-        np.testing.assert_allclose(v.conj().T @ v, np.eye(2), atol=1e-10)
-
-    def test_normal_family_member_tan_eigenvalues(self):
-        # diag(e^{ia}, e^{-ia}) has H^{-1/2} G H^{-1/2} = diag(tan a, -tan a)
-        alpha = math.pi / 3
-        a = sr.r_alpha_matrix(1.0, alpha, alpha)
-        h, g = sr.cartesian_decompose(a)
-        wh, vh = sr.hermitian_spectrum(h)
-        inv_root = (vh / np.sqrt(wh)) @ vh.conj().T
-        w, _ = sr.hermitian_spectrum(inv_root @ g @ inv_root)
-        np.testing.assert_allclose(w, [-math.tan(alpha), math.tan(alpha)],
-                                   atol=1e-12)
-
-    @pytest.mark.parametrize("n", [2, 4, 7])
-    def test_residuals_and_phase(self, n):
-        a = complex_gaussian((n, n), RNG)
-        m = (a + a.conj().T) / 2
-        w, v = sr.hermitian_spectrum(m)
-        scale = np.linalg.norm(m, 2)
-        for k in range(n):
-            assert np.linalg.norm(m @ v[:, k] - w[k] * v[:, k]) <= 1e-10 * scale
-        np.testing.assert_allclose(v.conj().T @ v, np.eye(n), atol=1e-10)
-        # first nonzero component of each eigenvector is real nonnegative
-        for k in range(n):
-            col = v[:, k]
-            first = col[np.flatnonzero(np.abs(col) > 1e-12)[0]]
-            assert abs(first.imag) <= 1e-12 and first.real >= 0
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(sr.MatrixShapeError):
-            sr.hermitian_spectrum([[0, 1], [0, 0]])
-
-    def test_rejects_non_hermitian_at_tiny_scale(self):
-        # the tolerance is relative to the matrix's own scale, with no floor
-        with pytest.raises(sr.MatrixShapeError):
-            sr.hermitian_spectrum(1e-20 * np.array([[0, 1], [0, 0]]))
-
-
 class TestOperatorNorm:
     def test_rank_one(self):
         assert sr.operator_norm([[0, 1], [0, 0]]) == pytest.approx(1.0, abs=1e-14)

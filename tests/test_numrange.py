@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 import sector_radius as sr
-from helpers import (POWERS_OF_TWO, PROPERTY, SEEDS, complex_gaussian,
-                     direct_sum, philox, random_unitary)
+from helpers import (EXTREME_BINADES, POWERS_OF_TWO, PROPERTY, SEEDS,
+                     complex_gaussian, direct_sum, philox, random_unitary,
+                     to_binade)
 from sector_radius import numrange, tolerances
-from sector_radius.matcore import matrix_scale
 from sector_radius.numrange import _PENCIL_ENTRIES, _support_values
 
 RNG = philox(20240602)
@@ -183,13 +183,13 @@ class TestHalfTurnScan:
     def test_scan_matches_every_grid_angle(self, case, s):
         # n = 2 reads both ends from the closed form, n >= 3 from eigvalsh
         if case == "jordan":
-            t = s * np.diag([1.0, 1.0], k=1)
+            base = np.diag([1.0, 1.0], k=1)
         else:
-            t = s * complex_gaussian((int(case),) * 2, philox(int(case)))
-        h, g = sr.cartesian_decompose(t)
+            base = complex_gaussian((int(case),) * 2, philox(int(case)))
+        h, g = sr.cartesian_decompose(s * base)
         m = tolerances.RADIUS_GRID_POINTS
         direct = _support_values(h, g, 2 * math.pi * np.arange(m) / m)[0]
-        bound = 4 * t.shape[0] * np.finfo(float).eps * matrix_scale(t)
+        bound = 4 * base.shape[0] * np.finfo(float).eps * s * np.linalg.norm(base)
         assert np.abs(numrange._scan(h, g, m) - direct).max() <= bound
 
 
@@ -254,6 +254,16 @@ class TestGridOracle:
         for s in (1.0, 2.0 ** -70, 1e-20, 1e20):
             assert sr.grid_radius(s * t, 4096) / s == pytest.approx(
                 self.unpruned(s * t, 4096) / s, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("e", [1022, -1021])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_extreme_binades(self, n, e):
+        # largest entry in [2^1021, 2^1022): w(T) <= ||T||_F < 2^1024 stays
+        # finite for n <= 3
+        t = complex_gaussian((n, n), philox(n))
+        big, k = to_binade(t, e)
+        assert math.ldexp(sr.grid_radius(big, 4096), -k) == pytest.approx(
+            sr.grid_radius(t, 4096), rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("case", ["decoy", "jordan"])
     def test_hard_inputs_match_unpruned_grid(self, case):
@@ -479,6 +489,12 @@ class TestMinSectorAngle:
         t = np.diag([0.0, 1.0]) + 1j * np.diag([1.0, 0.0])
         assert sr.min_sector_angle(t) == pytest.approx(math.pi / 2)
 
+    @pytest.mark.parametrize("alpha", [0.3, math.pi / 3, 1.5])
+    def test_normal_family_member_tan_eigenvalues(self, alpha):
+        # diag(e^{ia}, e^{-ia}) has H^{-1/2} G H^{-1/2} = diag(tan a, -tan a)
+        assert sr.min_sector_angle(sr.r_alpha_matrix(1.0, alpha, alpha)) \
+            == pytest.approx(alpha, abs=1e-12)
+
     def test_kernel_splits_off(self):
         t = direct_sum(np.zeros((1, 1)), sr.extremal_2x2(0.6))
         assert sr.min_sector_angle(t) == pytest.approx(0.6, abs=1e-9)
@@ -691,6 +707,11 @@ class TestSectorInvariance:
                                     st.sampled_from([1e-200, 1e200])))
     def test_scaling(self, t, factor):
         self.assert_same_sector(t, factor * t)
+
+    @PROPERTY
+    @given(SECTOR_INPUTS, EXTREME_BINADES)
+    def test_extreme_binades(self, t, e):
+        self.assert_same_sector(t, to_binade(t, e)[0])
 
     @PROPERTY
     @given(SECTOR_INPUTS, SEEDS)
