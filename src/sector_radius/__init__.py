@@ -30,7 +30,6 @@ from .numrange import (
     EllipseDescriptor,
     boundary_points,
     ellipse_2x2,
-    ellipse_radius,
     ellipse_support_point,
     grid_radius,
     min_sector_angle,
@@ -96,7 +95,6 @@ __all__ = [
     "commutant_dimension",
     "compression_2x2",
     "ellipse_2x2",
-    "ellipse_radius",
     "ellipse_support_point",
     "extremal_2x2",
     "extremal_params",

@@ -17,14 +17,14 @@ from .certify import Verdict, certify_extremal, tau
 from .errors import FeasibilityError
 from .extremal import (
     ThreeByThreeParams,
-    chain_eigenvectors,
     extremal_2x2,
     extremal_params,
+    family_deviations,
     irreducible_family,
     r_alpha_matrix,
     three_by_three,
 )
-from .matcore import cartesian_decompose, commutant_dimension, operator_norm
+from .matcore import commutant_dimension, operator_norm
 from .numrange import (
     boundary_points,
     ellipse_2x2,
@@ -76,6 +76,17 @@ def sectorial_sample(n: int, alpha: float, rng: np.random.Generator):
     w, v = np.linalg.eigh(h)
     root = (v * np.sqrt(w)) @ v.conj().T
     return h + 1j * (root @ k @ root)
+
+
+def direct_sum(*blocks) -> np.ndarray:
+    """Block-diagonal matrix with the given square blocks in order."""
+    dim = sum(b.shape[0] for b in blocks)
+    out = np.zeros((dim, dim), dtype=np.complex128)
+    at = 0
+    for b in blocks:
+        out[at:at + b.shape[0], at:at + b.shape[0]] = b
+        at += b.shape[0]
+    return out
 
 
 def ratio_of(t) -> float:
@@ -207,11 +218,7 @@ def criterion_08(seed: int) -> CriterionResult:
     commutant_ok = True
     for d, b1, b2 in _three_by_three_samples(rng, True, 50):
         t = three_by_three(d, b1, b2)
-        worst = max(worst,
-                    abs(operator_norm(t) - 1.0),
-                    abs(numerical_radius(t) - 1.0 / SQRT2),
-                    max(0.0, -float(np.linalg.eigvalsh(
-                        cartesian_decompose(t).h)[0])))
+        worst = max(worst, *family_deviations(t).values())
         if d > 1e-3 and commutant_dimension(t) != 1:
             commutant_ok = False
     rejected = 0
@@ -233,15 +240,7 @@ def criterion_09(seed: int) -> CriterionResult:
     for n in (4, 5, 6):
         for d in (0.05, 0.1):
             t, eps = irreducible_family(n, d)
-            worst = max(worst,
-                        abs(operator_norm(t) - 1.0),
-                        abs(numerical_radius(t) - 1.0 / SQRT2),
-                        max(0.0, -float(np.linalg.eigvalsh(
-                            cartesian_decompose(t).h)[0])))
-            for k, x in zip(range(4, n + 1), chain_eigenvectors(n, eps)):
-                resid = float(np.linalg.norm(
-                    t.conj().T @ x - eps ** (k - 3) * x))
-                worst = max(worst, resid / float(np.linalg.norm(x)))
+            worst = max(worst, *family_deviations(t, eps).values())
             if commutant_dimension(t) != 1:
                 commutant_ok = False
     passed = worst <= 1e-8 and commutant_ok
@@ -292,10 +291,7 @@ def _conjugated_direct_sum(rng: np.random.Generator, alpha: float,
     if not normal_radius_below:
         moduli[int(rng.integers(0, m))] = inv_tau * rng.uniform(1.05, 1.2)
     phases = rng.uniform(-alpha, alpha, m)
-    n_block = np.diag(moduli * np.exp(1j * phases))
-    t = np.zeros((2 + m, 2 + m), dtype=np.complex128)
-    t[:2, :2] = extremal_2x2(alpha)
-    t[2:, 2:] = n_block
+    t = direct_sum(extremal_2x2(alpha), np.diag(moduli * np.exp(1j * phases)))
     u = random_unitary(2 + m, rng)
     return u.conj().T @ t @ u
 
@@ -319,11 +315,7 @@ def criterion_11(seed: int) -> CriterionResult:
         block_margin = min(block_margin, tau_a - ratio_of(block))
     ratios = []
     for count in (10, 20, 30, 40, 50):
-        dim = 2 * count
-        t = np.zeros((dim, dim), dtype=np.complex128)
-        for i in range(count):
-            t[2 * i:2 * i + 2, 2 * i:2 * i + 2] = blocks[i]
-        ratios.append(ratio_of(t))
+        ratios.append(ratio_of(direct_sum(*blocks[:count])))
     monotone = all(ratios[i + 1] > ratios[i] for i in range(len(ratios) - 1))
     approaching = all(abs(ratios[i + 1] - tau_a) < abs(ratios[i] - tau_a)
                       for i in range(len(ratios) - 1))

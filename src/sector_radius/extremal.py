@@ -4,7 +4,8 @@ For a sector of half-angle alpha the optimal norm-to-radius ratio
 sqrt(1 + sin(alpha)^2) is attained by an essentially unique 2x2 matrix;
 this module builds that matrix, the two-parameter family it lives in, the
 rotation-block form used by the certification pipeline, and the 3x3 and
-n x n unitarily irreducible families attaining the ratio at alpha = pi/2.
+n x n unitarily irreducible families attaining the ratio at alpha = pi/2,
+and measures how far a matrix is from those two families' properties.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConstructionError, FeasibilityError, ParameterError
-from .matcore import cartesian_decompose, commutant_dimension, operator_norm
+from .matcore import (as_square_matrix, cartesian_decompose,
+                      commutant_dimension, operator_norm)
 from .numrange import numerical_radius, validate_sector_angle
 
 CHAIN_COUPLING_MAX = 1.0 / math.sqrt(45.0)
@@ -57,15 +59,14 @@ def extremal_params(alpha) -> ExtremalParameters:
 def extremal_2x2(alpha) -> np.ndarray:
     """The unit-norm 2x2 matrix attaining norm/radius = sqrt(1+sin(alpha)^2).
 
-    Every matrix attaining the optimal ratio for the sector is a unitary
-    conjugate of a positive multiple of this one.
+    It is the r = 1 member of the family touching both sector rays
+    (`r_alpha_matrix`) at the angle theta of `extremal_params`, which lies
+    in [0, alpha] since sin(theta)^2 = (s+s^2)/(1+2s) <= s, divided by its
+    norm.  Every matrix attaining the optimal ratio for the sector is a
+    unitary conjugate of a positive multiple of this one.
     """
     p = extremal_params(alpha)
-    s = p.s
-    top = math.sqrt(1.0 + s - s * s) + 1j * math.sqrt(s + s * s)
-    mat = np.array([[top, 2.0 * s],
-                    [0.0, np.conj(top)]], dtype=np.complex128)
-    return mat / (1.0 + 2.0 * s)
+    return r_alpha_matrix(1.0, p.theta, p.alpha) / p.norm
 
 
 class CanonicalBlock(NamedTuple):
@@ -207,29 +208,30 @@ def chain_eigenvectors(n: int, epsilon: float) -> list[np.ndarray]:
     return vecs
 
 
-def _chain_postconditions(t: np.ndarray, n: int, epsilon: float) -> str | None:
-    """Check the defining properties of the chain construction.
+def family_deviations(t, epsilon=None) -> dict[str, float]:
+    """How far T is from the defining properties of the half-plane families.
 
-    Returns None when they all hold within 1e-8, else a description of the
-    first failure.
+    Maps each property to its deviation: |norm - 1|, |radius - 1/sqrt(2)|,
+    the negative part of lambda_min of the Hermitian part and, given the
+    chain's epsilon, the residual of T* x_k = epsilon^(k-3) x_k over
+    ||x_k|| for every vector of `chain_eigenvectors`.  All are 0 when the
+    property holds exactly.
     """
-    norm = operator_norm(t)
-    if abs(norm - 1.0) > 1e-8:
-        return f"norm {norm} != 1"
-    w = numerical_radius(t)
-    if abs(w - 1.0 / math.sqrt(2.0)) > 1e-8:
-        return f"numerical radius {w} != 1/sqrt(2)"
+    t = as_square_matrix(t)
     h, _ = cartesian_decompose(t)
-    lam_min = float(np.linalg.eigvalsh(h)[0])
-    if lam_min < -1e-8:
-        return f"Hermitian part not PSD (lambda_min = {lam_min})"
-    if commutant_dimension(t) != 1:
-        return "commutant dimension != 1 (unitarily reducible)"
-    for k, x in zip(range(4, n + 1), chain_eigenvectors(n, epsilon)):
-        resid = float(np.linalg.norm(t.conj().T @ x - epsilon ** (k - 3) * x))
-        if resid > 1e-8 * float(np.linalg.norm(x)):
-            return f"adjoint eigen-relation residual {resid} at k = {k}"
-    return None
+    out = {
+        "norm != 1": abs(operator_norm(t) - 1.0),
+        "numerical radius != 1/sqrt(2)":
+            abs(numerical_radius(t) - 1.0 / math.sqrt(2.0)),
+        "Hermitian part not PSD": max(0.0, -float(np.linalg.eigvalsh(h)[0])),
+    }
+    if epsilon is not None:
+        n = t.shape[0]
+        for k, x in zip(range(4, n + 1), chain_eigenvectors(n, epsilon)):
+            resid = np.linalg.norm(t.conj().T @ x - epsilon ** (k - 3) * x)
+            out[f"adjoint eigen-relation residual at k = {k}"] = (
+                float(resid) / float(np.linalg.norm(x)))
+    return out
 
 
 def irreducible_family(n, d, epsilon=None) -> tuple[np.ndarray, float]:
@@ -239,10 +241,10 @@ def irreducible_family(n, d, epsilon=None) -> tuple[np.ndarray, float]:
     requirement 0 < d < 1/sqrt(45); a geometric chain of strength epsilon
     couples in the remaining coordinates.  When ``epsilon`` is not given it
     is half the headroom of the 3x3 feasibility inequality, capped at 0.1.
-    The construction's postconditions (unit norm, radius 1/sqrt(2), PSD
-    Hermitian part, trivial commutant, adjoint eigen-relations) are checked
-    once, and a failure raises `ConstructionError`; no other epsilon is
-    tried, since a smaller one only weakens the chain's coupling.
+    The construction's postconditions (the `family_deviations` within 1e-8,
+    then a trivial commutant) are checked once, and a failure raises
+    `ConstructionError`; no other epsilon is tried, since a smaller one
+    only weakens the chain's coupling.
 
     Returns the matrix together with the epsilon used.
     """
@@ -264,8 +266,11 @@ def irreducible_family(n, d, epsilon=None) -> tuple[np.ndarray, float]:
         if not (0.0 < eps < 1.0):
             raise ParameterError(f"epsilon must lie in (0, 1), got {eps}")
     t = chain_matrix(n, d, eps)
-    failure = _chain_postconditions(t, n, eps)
-    if failure is not None:
+    failed = [f"{name} (deviation {dev:.3e})"
+              for name, dev in family_deviations(t, eps).items() if dev > 1e-8]
+    if not failed and commutant_dimension(t) != 1:
+        failed = ["commutant dimension != 1 (unitarily reducible)"]
+    if failed:
         raise ConstructionError(
-            f"{failure} at epsilon = {eps} (n = {n}, d = {d})")
+            f"{failed[0]} at epsilon = {eps} (n = {n}, d = {d})")
     return t, eps

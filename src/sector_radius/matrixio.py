@@ -116,9 +116,13 @@ def complex_pair(z) -> list:
 
 
 def boundary_csv(samples) -> str:
+    """CSV rows theta,re,im; like `to_json`, a non-finite value raises."""
     lines = ["theta,re,im"]
     for s in samples:
-        lines.append(f"{format_real(s.theta)},"
-                     f"{format_real(s.boundary_point.real)},"
-                     f"{format_real(s.boundary_point.imag)}")
+        row = (s.theta, s.boundary_point.real, s.boundary_point.imag)
+        if not all(map(math.isfinite, row)):
+            raise SectorRadiusError(
+                f"boundary point {s.boundary_point} at theta = {s.theta} is "
+                "not finite (the computation overflowed)")
+        lines.append(",".join(map(format_real, row)))
     return "\n".join(lines) + "\n"

@@ -27,8 +27,8 @@ import numpy as np
 
 from . import tolerances as tol
 from .errors import MatrixShapeError, ParameterError
-from .matcore import (as_square_matrix, binary_scale, cartesian_decompose,
-                      eigenvalues_2x2, scaled_square_matrix)
+from .matcore import (binary_scale, cartesian_decompose, eigenvalues_2x2,
+                      scaled_square_matrix)
 
 HALF_PI = math.pi / 2.0
 
@@ -102,20 +102,23 @@ def support_value(t, theta) -> BoundarySample:
     the Rayleigh point <Tv, v> of the maximizing unit eigenvector v, which
     lies on the boundary of W(T).
     """
-    t = as_square_matrix(t)
-    return _boundary_samples(t, np.array([float(theta)]))[0]
+    t, s = scaled_square_matrix(t)
+    return _boundary_samples(t, s, np.array([float(theta)]))[0]
 
 
-def _boundary_samples(t: np.ndarray, thetas) -> list[BoundarySample]:
-    """Support value and Rayleigh boundary point at every angle in `thetas`."""
+def _boundary_samples(t: np.ndarray, s: float,
+                      thetas) -> list[BoundarySample]:
+    """Support value and Rayleigh boundary point of s T at every angle in
+    `thetas`, both evaluated on T and multiplied by s."""
     h, g = cartesian_decompose(t)
     out: list[BoundarySample] = []
     for sl, p in _pencils(h, g, thetas):
         w, v = np.linalg.eigh(p)
         top = v[..., -1]
         pts = np.einsum("ki,ij,kj->k", top.conj(), t, top)
-        out.extend(BoundarySample(float(a), float(b), complex(z))
-                   for a, b, z in zip(thetas[sl], w[:, -1], pts))
+        out.extend(BoundarySample(float(a), s * float(b),
+                                  complex(s * z.real, s * z.imag))
+                   for a, b, z in zip(thetas[sl], w[:, -1], pts.tolist()))
     return out
 
 
@@ -196,11 +199,11 @@ def boundary_points(t, m) -> list[BoundarySample]:
 
     The polygon through the returned points is inscribed in W(T).
     """
-    t = as_square_matrix(t)
+    t, s = scaled_square_matrix(t)
     m = int(m)
     if m < 3:
         raise ParameterError(f"need at least 3 boundary samples, got {m}")
-    return _boundary_samples(t, 2.0 * math.pi * np.arange(m) / m)
+    return _boundary_samples(t, s, 2.0 * math.pi * np.arange(m) / m)
 
 
 @dataclass(frozen=True)
@@ -281,13 +284,6 @@ def ellipse_support_point(desc: EllipseDescriptor, theta: float) -> complex:
     hnorm = math.hypot(a * nx, b * ny)
     local = complex(a * a * nx / hnorm, b * b * ny / hnorm) * s
     return desc.center + complex(math.cos(psi), math.sin(psi)) * local
-
-
-def ellipse_radius(desc: EllipseDescriptor) -> float:
-    """Maximum modulus over the elliptical disk: the numerical radius of
-    [[focus1, minor_axis_length], [0, focus2]], whose range is this disk."""
-    return numerical_radius([[desc.focus1, desc.minor_axis_length],
-                             [0.0, desc.focus2]])
 
 
 def sector_contains(t, alpha) -> bool:

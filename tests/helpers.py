@@ -1,8 +1,8 @@
 """Seeded matrix generators and hypothesis settings shared by the unit tests.
 
-The generators come from the acceptance suite and take their numpy
-Generator last: a test module passes its own module-level stream, or a
-fresh ``philox(seed)``.
+The generators and `direct_sum` come from the acceptance suite.  The
+generators take their numpy Generator last: a test module passes its own
+module-level stream, or a fresh ``philox(seed)``.
 """
 
 import math
@@ -10,7 +10,8 @@ import math
 import numpy as np
 from hypothesis import settings, strategies as st
 
-from sector_radius.acceptance import complex_gaussian, random_unitary
+from sector_radius.acceptance import (complex_gaussian, direct_sum,
+                                      random_unitary)
 
 
 def philox(seed):
@@ -22,16 +23,6 @@ def to_binade(t, e):
     Two multiplications keep 2^k finite for every k a double can need."""
     k = e - math.frexp(float(np.abs(t).max()))[1]
     return t * 2.0 ** (k // 2) * 2.0 ** (k - k // 2), k
-
-
-def direct_sum(*blocks):
-    dim = sum(b.shape[0] for b in blocks)
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    at = 0
-    for b in blocks:
-        out[at:at + b.shape[0], at:at + b.shape[0]] = b
-        at += b.shape[0]
-    return out
 
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)

@@ -6,10 +6,13 @@ asserts and prints its own line of the first run's report; criterion 12
 also demands exit code 0 from both runs and byte-identical stdout.
 """
 
+import os
 import subprocess
 import sys
 
 import pytest
+
+import sector_radius
 
 VERIFY = [sys.executable, "-W", "error::RuntimeWarning", "-m", "sector_radius",
           "verify", "--seed", "0"]
@@ -18,12 +21,16 @@ VERIFY = [sys.executable, "-W", "error::RuntimeWarning", "-m", "sector_radius",
 @pytest.fixture(scope="module")
 def verify_runs():
     """(returncode, stdout bytes, stderr text) of two concurrent ``verify``
-    runs; both are killed if either fails or times out."""
+    runs of the package this session imported; both are killed if either
+    fails or times out."""
+    root = os.path.dirname(os.path.dirname(sector_radius.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [root, os.environ.get("PYTHONPATH")])))
     procs = []
     try:
         for _ in range(2):
             procs.append(subprocess.Popen(VERIFY, stdout=subprocess.PIPE,
-                                          stderr=subprocess.PIPE))
+                                          stderr=subprocess.PIPE, env=env))
         outs = [p.communicate(timeout=1800) for p in procs]
     finally:
         for p in procs:

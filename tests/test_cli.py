@@ -155,6 +155,19 @@ def test_boundary_csv(tmp_path, capsys):
             0.5, abs=1e-9)
 
 
+def test_boundary_overflow_exit_one(tmp_path, capsys):
+    # w(T) exceeds the largest double, so the rows at theta = 0 and pi
+    # overflow; the CSV writer refuses them as the JSON writer does
+    path = tmp_path / "big.json"
+    path.write_text(to_json(matrix_document(
+        [[1.7e308, 1.7e308], [0.0, -1.7e308]])))
+    code, out, err = run_cli(capsys, ["boundary", "--m", "8", "--in",
+                                      str(path)])
+    assert code == 1
+    assert out == ""
+    assert "not finite" in err
+
+
 def test_boundary_m_too_small_exit_one(tmp_path, capsys):
     path = tmp_path / "m.json"
     path.write_text(SHIFT_DOC)

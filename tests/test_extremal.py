@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import sector_radius as sr
+from sector_radius.extremal import family_deviations
 
 ALPHA_GRID = np.linspace(0.05, math.pi / 2, 24)
 
@@ -78,10 +79,12 @@ class TestExtremal2x2:
 
     @pytest.mark.parametrize("alpha", ALPHA_GRID)
     def test_matches_normalized_triangular_form(self, alpha):
-        p = sr.extremal_params(alpha)
-        a = sr.r_alpha_matrix(1.0, p.theta, alpha)
-        np.testing.assert_allclose(sr.extremal_2x2(alpha), a / p.norm,
-                                   atol=1e-13)
+        # [[e^{i theta}, 2c], [0, e^{-i theta}]] / sqrt(1+2s) written in s
+        s = math.sin(alpha) ** 2
+        top = math.sqrt(1 + s - s * s) + 1j * math.sqrt(s + s * s)
+        expected = np.array([[top, 2 * s], [0, top.conjugate()]]) / (1 + 2 * s)
+        np.testing.assert_allclose(sr.extremal_2x2(alpha), expected,
+                                   atol=1e-15)
 
     def test_rejects_zero_angle(self):
         with pytest.raises(sr.ParameterError):
@@ -232,6 +235,32 @@ class TestThreeByThree:
     def test_non_finite_rejected(self, d, b1, b2):
         with pytest.raises(sr.FeasibilityError, match="must be finite"):
             sr.three_by_three(d, b1, b2)
+
+
+class TestFamilyDeviations:
+    def test_zero_on_both_families(self):
+        t3 = sr.three_by_three(0.1, 0.015, 0.0)
+        assert list(family_deviations(t3)) == [
+            "norm != 1", "numerical radius != 1/sqrt(2)",
+            "Hermitian part not PSD"]
+        t, eps = sr.irreducible_family(5, 0.05)
+        devs = family_deviations(t, eps)
+        assert list(devs)[3:] == [
+            "adjoint eigen-relation residual at k = 4",
+            "adjoint eigen-relation residual at k = 5"]
+        assert max(*family_deviations(t3).values(), *devs.values()) <= 1e-14
+
+    def test_measures_each_property(self):
+        t = sr.three_by_three(0.1, 0.015, 0.0)
+        devs = family_deviations(2 * t)
+        assert devs["norm != 1"] == pytest.approx(1.0, abs=1e-14)
+        assert devs["numerical radius != 1/sqrt(2)"] == pytest.approx(
+            1 / math.sqrt(2), abs=1e-14)
+        assert family_deviations(t - 0.01 * np.eye(3))[
+            "Hermitian part not PSD"] == pytest.approx(0.01, abs=1e-14)
+        t, eps = sr.irreducible_family(5, 0.05)
+        devs = family_deviations(t, eps / 2)
+        assert devs["adjoint eigen-relation residual at k = 5"] > 1e-3
 
 
 class TestIrreducibleFamily:

@@ -233,6 +233,15 @@ class TestCommutantAgainstKronecker:
         t = u.conj().T @ sr.three_by_three(d, 1.5 * d * d, 0.0) @ u
         assert sr.commutant_dimension(t) == kronecker_nullity(t) == 1
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 5: two eigenvalues of H + cG lie 1.35e-7 ||T||_F "
+        "apart, so the Davis-Kahan rounding term (1.9e-8) outweighs the "
+        "weakest coupling epsilon^7 (1.3e-8) and that link is dropped"))
+    def test_weakly_coupled_chain(self):
+        # the Kronecker nullity of this chain is 1
+        assert sr.commutant_dimension(
+            sr.chain_matrix(10, 0.14587, 0.0745)) == 1
+
 
 STRUCTURED = st.one_of(
     st.builds(conjugated_sum, SEEDS, BLOCK_SIZES),

@@ -373,6 +373,17 @@ class TestBoundaryPoints:
         with pytest.raises(sr.ParameterError):
             sr.boundary_points(np.eye(2), 2)
 
+    def test_support_point_near_overflow(self):
+        # |Re <Tv, v>| reaches 1.7e308 here, which the Rayleigh product on
+        # the unscaled T overflowed; on T / 2^1023 it is exact, and T / 4
+        # scales to the same matrix
+        t = np.array([[1.7e308, 1.7e308], [0.0, -1.7e308]])
+        s = sr.support_value(t, 7 * math.pi / 4)
+        quarter = sr.support_value(t / 4, 7 * math.pi / 4)
+        assert math.isfinite(s.boundary_point.real)
+        assert s.support_value == 4 * quarter.support_value
+        assert s.boundary_point == 4 * quarter.boundary_point
+
 
 class TestEllipse2x2:
     def test_shift_disk(self):
@@ -402,12 +413,6 @@ class TestEllipse2x2:
         top = e.center + 1j * e.semi_major * np.exp(
             1j * (e.axis_phase - math.pi / 2))
         assert abs(abs(top.imag) - 1.0) <= 1e-12
-
-    def test_radius_consistency_random(self):
-        for _ in range(25):
-            t = complex_gaussian((2, 2), RNG)
-            assert sr.ellipse_radius(sr.ellipse_2x2(t)) == pytest.approx(
-                sr.numerical_radius(t), abs=1e-8)
 
     def test_support_points_on_ellipse(self):
         # at 1e-300 the squared axes underflow unless they are rescaled,
@@ -495,6 +500,15 @@ class TestMinSectorAngle:
         assert sr.min_sector_angle(sr.r_alpha_matrix(1.0, alpha, alpha)) \
             == pytest.approx(alpha, abs=1e-12)
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "lambda_min(H) = 7.4e-11 falls under the kernel cut PSD_RTOL * "
+        "||T||_F = 2e-10 and G acts on its eigenvector, so the angle reads "
+        "pi/2"))
+    def test_family_member_near_half_plane(self):
+        a = math.pi / 2 - 8.71e-6
+        assert sr.min_sector_angle(sr.r_alpha_matrix(1.72, 1.1069, a)) \
+            == pytest.approx(a, abs=1e-9)
+
     def test_kernel_splits_off(self):
         t = direct_sum(np.zeros((1, 1)), sr.extremal_2x2(0.6))
         assert sr.min_sector_angle(t) == pytest.approx(0.6, abs=1e-9)
@@ -564,13 +578,6 @@ class TestRadiusProperties:
     def test_extreme_scaling(self, seed, factor):
         t = gaussian(seed)
         assert sr.numerical_radius(factor * t) / factor == pytest.approx(
-            sr.numerical_radius(t), rel=1e-13)
-
-    @PROPERTY
-    @given(SEEDS, st.sampled_from([1e100, 1.0, 1e-100]))
-    def test_ellipse_radius_matches(self, seed, factor):
-        t = factor * complex_gaussian((2, 2), philox(seed))
-        assert sr.ellipse_radius(sr.ellipse_2x2(t)) == pytest.approx(
             sr.numerical_radius(t), rel=1e-13)
 
 
