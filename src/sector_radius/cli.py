@@ -16,28 +16,12 @@ import sys
 from . import tolerances
 from .certify import canonical_family_test, certify_extremal, ratio_check
 from .errors import SectorRadiusError, UsageError
-from .extremal import (
-    canonical_b,
-    extremal_2x2,
-    irreducible_family,
-    r_alpha_matrix,
-    three_by_three,
-)
-from .matrixio import (
-    boundary_csv,
-    complex_pair,
-    matrix_document,
-    read_matrix,
-    to_json,
-    write_text,
-)
-from .numrange import (
-    boundary_points,
-    ellipse_2x2,
-    min_sector_angle,
-    numerical_radius,
-    sector_contains,
-)
+from .extremal import (canonical_b, extremal_2x2, irreducible_family,
+                       r_alpha_matrix, three_by_three)
+from .matrixio import (boundary_csv, complex_pair, matrix_document,
+                       read_matrix, to_json, write_text)
+from .numrange import (boundary_points, ellipse_2x2, min_sector_angle,
+                       numerical_radius, sector_contains)
 from .matcore import operator_norm
 
 

@@ -47,8 +47,8 @@ def validate_sector_angle(alpha) -> float:
 # angles.
 _PENCIL_ENTRIES = 2 ** 16
 
-# Grid blocks valued in one `_support_values` call by `grid_radius`, so the
-# union of their starts and ends stays under 8192 angles.
+# Child blocks made in one `_support_values` call by `grid_radius`, which
+# values at most 15/16 of their starts: the others are their parents'.
 _GRID_BLOCKS = 4096
 
 
@@ -100,10 +100,13 @@ def support_value(t, theta) -> BoundarySample:
 
     Returns the value lambda_max(cos(theta) H + sin(theta) G) together with
     the Rayleigh point <Tv, v> of the maximizing unit eigenvector v, which
-    lies on the boundary of W(T).
+    lies on the boundary of W(T).  A non-finite theta raises ParameterError.
     """
     t, s = scaled_square_matrix(t)
-    return _boundary_samples(t, s, np.array([float(theta)]))[0]
+    theta = float(theta)
+    if not math.isfinite(theta):
+        raise ParameterError(f"support direction must be finite, got {theta}")
+    return _boundary_samples(t, s, np.array([theta]))[0]
 
 
 def _boundary_samples(t: np.ndarray, s: float,
@@ -340,47 +343,53 @@ def grid_radius(t, points: int = 1_000_000) -> float:
     e^{is} = alpha e^{ia} + beta e^{ib} with alpha, beta >= 0 and
     1 <= alpha + beta <= 1 / cos((b - a) / 2), so f(s) <= max(f(a), f(b)) /
     cos((b - a) / 2) when that maximum is positive, and f(s) <= max(f(a),
-    f(b)) otherwise.  The grid is cut into at least 16 blocks of 16^j
-    consecutive angles, each valued at both ends; a block whose bound
-    plus a rounding slack of ``4 n eps ||T||_F`` stays at or below the best
-    grid value so far cannot hold a larger one and is skipped, and every
-    other block is split 16 ways, down to single angles.  No angle off the
-    grid is evaluated, so the result does not depend on the refinement in
-    `numerical_radius`.  When W(T) is a disk centred at 0 the support
-    function is constant and every angle is evaluated.
+    f(b)) otherwise.  The top blocks are the longest runs of 16^j angles
+    that still make at least 16 blocks (16 of 65,536 at 10^6 points, the
+    last one shorter), each valued at both ends.  A block whose bound plus
+    a rounding slack of ``4 n eps ||T||_F`` stays at or below the best
+    value so far is skipped; any other is split 16 ways, its children
+    inheriting its end values, so only the 15 inner child starts are new.
+    No angle is valued twice: about 160 on a Gaussian input, all
+    ``points`` when W(T) is a disk centred at 0 (a Jordan block).  No
+    angle off the grid is evaluated, so the result does not depend on the
+    refinement in `numerical_radius`.
     """
     t, s = scaled_square_matrix(t)
-    points = int(points)
-    if points < 8:
-        raise ParameterError(f"grid needs at least 8 points, got {points}")
-    n = t.shape[0]
+    if not float(points).is_integer() or points < 8:
+        raise ParameterError(f"grid needs an integral count of at least 8 "
+                             f"points, got {points!r}")
+    points, n = int(points), t.shape[0]
     if n == 1:
         return s * float(abs(t[0, 0]))
     h, g = cartesian_decompose(t)
     slack = 4.0 * n * np.finfo(float).eps * float(np.linalg.norm(t))
     width = 1
-    while width * 256 <= points:
+    while 15 * 16 * width < points:
         width *= 16
-    blocks = [(width, np.arange(0, points, width))]
-    best = -math.inf
+    starts = np.arange(0, points, width)
+    vals = _support_values(h, g, 2.0 * math.pi * starts / points)[0]
+    best = float(vals.max())
+    blocks = [(width, starts, vals, np.roll(vals, -1))]
     while blocks:
-        # Depth first, at most _GRID_BLOCKS blocks at a time (the top level
-        # has at most 256), so memory stays flat in `points`.
-        width, starts = blocks.pop()
-        ends = np.minimum(starts + width, points) % points
-        idx = np.sort(np.concatenate([starts, ends]))
-        idx = idx[np.diff(idx, prepend=-1) > 0]
-        vals = _support_values(h, g, 2.0 * math.pi * idx / points)[0]
-        best = max(best, float(vals.max()))
-        if width == 1:
-            continue
-        top = np.maximum(vals[np.searchsorted(idx, starts)],
-                         vals[np.searchsorted(idx, ends)])
-        cos_half = np.cos(math.pi / points * ((ends - starts) % points))
-        top = np.where(top > 0.0, top / cos_half, top)
-        keep = starts[top + slack > best]
-        for lo in range(0, keep.size, _GRID_BLOCKS // 16):
-            kids = (keep[lo:lo + _GRID_BLOCKS // 16, None]
-                    + width // 16 * np.arange(16)).ravel()
-            blocks.append((width // 16, kids[kids < points]))
+        # Depth first, splitting at most _GRID_BLOCKS // 16 blocks a sweep,
+        # so memory stays flat in `points`.
+        width, starts, f0, f1 = blocks.pop()
+        size = np.minimum(starts + width, points) - starts
+        top = np.maximum(f0, f1)
+        top = np.where(top > 0.0, top / np.cos(math.pi / points * size), top)
+        keep = (top + slack > best) & (size > 1)
+        starts, size, f0, f1 = starts[keep], size[keep], f0[keep], f1[keep]
+        offset = width // 16 * np.arange(16)
+        for lo in range(0, starts.size, _GRID_BLOCKS // 16):
+            sl = slice(lo, lo + _GRID_BLOCKS // 16)
+            inside, kids = offset < size[sl, None], starts[sl, None] + offset
+            new = kids[:, 1:][inside[:, 1:]]
+            vals = _support_values(h, g, 2.0 * math.pi * new / points)[0]
+            best = float(vals.max(initial=best))
+            if width > 16:  # child k spans the values in columns k, k + 1
+                f = np.empty((kids.shape[0], 17))
+                f[:, 0], f[:, 1:16][inside[:, 1:]] = f0[sl], vals
+                f[np.arange(f.shape[0]), inside.sum(axis=1)] = f1[sl]
+                blocks.append((width // 16, kids[inside], f[:, :16][inside],
+                               f[:, 1:][inside]))
     return s * best

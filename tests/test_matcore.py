@@ -10,8 +10,6 @@ import sector_radius as sr
 from helpers import (PROPERTY, SEEDS, complex_gaussian, direct_sum, philox,
                      random_unitary)
 
-RNG = philox(20240601)
-
 
 class TestCartesianDecompose:
     def test_shift_matrix(self):
@@ -34,7 +32,7 @@ class TestCartesianDecompose:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
     def test_reconstruction(self, n):
-        t = complex_gaussian((n, n), RNG)
+        t = complex_gaussian((n, n), philox(500 + n))
         h, g = sr.cartesian_decompose(t)
         assert np.linalg.norm(h - h.conj().T) <= 1e-12 * np.linalg.norm(t)
         assert np.linalg.norm(g - g.conj().T) <= 1e-12 * np.linalg.norm(t)
@@ -91,9 +89,10 @@ class TestOperatorNorm:
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_random_unit_vectors_never_exceed(self, n):
-        t = complex_gaussian((n, n), RNG)
+        rng = philox(510 + n)
+        t = complex_gaussian((n, n), rng)
         norm = sr.operator_norm(t)
-        x = complex_gaussian((10_000, n), RNG)
+        x = complex_gaussian((10_000, n), rng)
         x /= np.linalg.norm(x, axis=1, keepdims=True)
         sampled = np.linalg.norm(x @ t.T, axis=1).max()
         assert sampled <= norm + 1e-10
@@ -111,8 +110,9 @@ class TestCommutantDimension:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_unitary_invariance(self, n):
-        t = complex_gaussian((n, n), RNG)
-        u = random_unitary(n, RNG)
+        rng = philox(520 + n)
+        t = complex_gaussian((n, n), rng)
+        u = random_unitary(n, rng)
         assert (sr.commutant_dimension(u.conj().T @ t @ u)
                 == sr.commutant_dimension(t))
 
@@ -278,8 +278,9 @@ class TestSimilarityInvariants2x2:
         assert sr.invariants_close(ia, ib, 1e-12)
 
     def test_unitary_invariance(self):
-        a = complex_gaussian((2, 2), RNG)
-        u = random_unitary(2, RNG)
+        rng = philox(530)
+        a = complex_gaussian((2, 2), rng)
+        u = random_unitary(2, rng)
         assert sr.invariants_close(
             sr.similarity_invariants_2x2(a),
             sr.similarity_invariants_2x2(u.conj().T @ a @ u), 1e-12)

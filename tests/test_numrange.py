@@ -15,8 +15,6 @@ from helpers import (EXTREME_BINADES, POWERS_OF_TWO, PROPERTY, SEEDS,
 from sector_radius import numrange, tolerances
 from sector_radius.numrange import _PENCIL_ENTRIES, _support_values
 
-RNG = philox(20240602)
-
 
 def decoy_matrix(m):
     """Normal 13x13 matrix: twelve eigenvalues of modulus 1 - 1e-6 on angles
@@ -41,6 +39,20 @@ def counting_sweeps(monkeypatch):
     return sweeps
 
 
+def valued_grid_indices(monkeypatch, points):
+    """Record the grid index of every angle `grid_radius` values, one array
+    per support sweep."""
+    valued = []
+    real = numrange._support_values
+
+    def recording(h, g, thetas):
+        valued.append(np.rint(thetas * points / (2 * math.pi)).astype(int))
+        return real(h, g, thetas)
+
+    monkeypatch.setattr(numrange, "_support_values", recording)
+    return valued
+
+
 B1 = np.array([[2 / 3, 1 / math.sqrt(3)], [-1 / math.sqrt(3), 0.0]])
 
 
@@ -61,11 +73,16 @@ class TestSupportValue:
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_boundary_point_matches_support(self, n):
-        t = complex_gaussian((n, n), RNG)
+        t = complex_gaussian((n, n), philox(400 + n))
         for theta in (0.0, 1.1, 3.9):
             s = sr.support_value(t, theta)
             proj = (np.exp(-1j * theta) * s.boundary_point).real
             assert abs(proj - s.support_value) <= 1e-9
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_angle(self, theta):
+        with pytest.raises(sr.ParameterError, match="must be finite"):
+            sr.support_value(np.diag([1.0, 1.0 + 1j]), theta)
 
 
 class TestNumericalRadius:
@@ -91,14 +108,14 @@ class TestNumericalRadius:
 
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_rotation_invariance(self, n):
-        t = complex_gaussian((n, n), RNG)
+        t = complex_gaussian((n, n), philox(410 + n))
         w = sr.numerical_radius(t)
         for phi in (0.4, 1.9, 5.0):
             assert sr.numerical_radius(np.exp(1j * phi) * t) == pytest.approx(
                 w, abs=1e-10)
 
     def test_translation_subadditivity(self):
-        t = complex_gaussian((3, 3), RNG)
+        t = complex_gaussian((3, 3), philox(420))
         w = sr.numerical_radius(t)
         for c in (0.5, 1 + 2j, -3j):
             assert (sr.numerical_radius(t + c * np.eye(3))
@@ -106,7 +123,7 @@ class TestNumericalRadius:
 
     @pytest.mark.parametrize("n", [2, 3, 5, 7])
     def test_norm_bracket(self, n):
-        t = complex_gaussian((n, n), RNG)
+        t = complex_gaussian((n, n), philox(430 + n))
         w = sr.numerical_radius(t)
         norm = sr.operator_norm(t)
         assert w <= norm + 1e-10
@@ -236,7 +253,7 @@ class TestHighPrecisionOracle:
 class TestGridOracle:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_matches_refined_radius(self, n):
-        t = complex_gaussian((n, n), RNG)
+        t = complex_gaussian((n, n), philox(440 + n))
         assert abs(sr.numerical_radius(t)
                    - sr.grid_radius(t, 1_000_000)) <= 1e-6
 
@@ -299,8 +316,55 @@ class TestGridOracle:
         with pytest.raises(sr.ParameterError, match="at least 8 points"):
             sr.grid_radius(np.eye(2), 7)
 
+    @pytest.mark.parametrize("points", [1000.7, math.nan, math.inf])
+    def test_rejects_non_integral_points(self, points):
+        with pytest.raises(sr.ParameterError, match="integral count"):
+            sr.grid_radius(B1, points)
+
+    def test_integral_float_points(self):
+        assert sr.grid_radius(B1, 1e6) == sr.grid_radius(B1, 10 ** 6)
+
+    @pytest.mark.parametrize("case", [2, 3, 5, 7, "decoy", "jordan",
+                                      "near_flat"])
+    def test_no_angle_valued_twice(self, case, monkeypatch):
+        # a child block takes its end values from its siblings and its
+        # parent, so every grid index reaches `_support_values` once at most
+        m = 2 ** 16 if case in ("decoy", "jordan") else 10 ** 6
+        if case == "decoy":
+            t = decoy_matrix(m)
+        elif case == "jordan":
+            t = np.diag([1.0, 1.0], k=1)
+        elif case == "near_flat":
+            t = np.array([[1e-8, 1.0], [0.0, 1e-8]])
+        else:
+            t = complex_gaussian((case, case), philox(480 + case))
+        valued = valued_grid_indices(monkeypatch, m)
+        sr.grid_radius(t, m)
+        idx = np.concatenate(valued)
+        assert np.unique(idx).size == idx.size
+
+    def test_flat_support_values_each_angle_once(self, monkeypatch):
+        # the shift's support function is constant: no block is skipped
+        valued = valued_grid_indices(monkeypatch, 10 ** 6)
+        assert sr.grid_radius([[0, 1], [0, 0]], 10 ** 6) == pytest.approx(
+            0.5, rel=1e-15, abs=0.0)
+        idx = np.concatenate(valued)
+        assert idx.size == 10 ** 6
+        assert np.array_equal(np.sort(idx), np.arange(10 ** 6))
+
+    @pytest.mark.parametrize("points", [4097, 999_983, 10 ** 6 + 1])
+    def test_truncated_last_block(self, points):
+        # the top width 16^j does not divide `points`, so the last top block
+        # ends early, at angle 0; f(t) = cos(t - phi) near its peak phi, 0.4
+        # grid steps after the last grid angle and 0.6 before 0, so each
+        # last child needs f(0) as its end value to be kept
+        phi = 2 * math.pi * (points - 0.6) / points
+        peaked = np.diag([np.exp(1j * phi), 0.5j * np.exp(1j * phi)])
+        for t in (complex_gaussian((2, 2), philox(490)), peaked):
+            assert sr.grid_radius(t, points) == self.unpruned(t, points)
+
     def test_radius_matches_coarse_grid_at_n9(self):
-        t = complex_gaussian((9, 9), RNG)
+        t = complex_gaussian((9, 9), philox(450))
         assert abs(sr.numerical_radius(t) - sr.grid_radius(t, 20_000)) <= 1e-5
 
 
@@ -361,7 +425,7 @@ class TestBoundaryPoints:
             assert abs(z.imag) <= z.real * math.tan(math.pi / 4) + 1e-9
 
     def test_convexity_of_polygon(self):
-        t = complex_gaussian((3, 3), RNG)
+        t = complex_gaussian((3, 3), philox(460))
         pts = sr.boundary_points(t, 64)
         # every polygon vertex satisfies all supporting halfplanes
         for s in pts:
@@ -417,8 +481,9 @@ class TestEllipse2x2:
     def test_support_points_on_ellipse(self):
         # at 1e-300 the squared axes underflow unless they are rescaled,
         # and an absolute cut on the support norm would return the centre
+        rng = philox(470)
         for _ in range(10):
-            t = complex_gaussian((2, 2), RNG)
+            t = complex_gaussian((2, 2), rng)
             samples = sr.boundary_points(t, 90)
             for scale in (1.0, 1e-300):
                 desc = sr.ellipse_2x2(scale * t)
