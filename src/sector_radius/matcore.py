@@ -11,6 +11,7 @@ eigenvalues and complete unitary-similarity invariants.
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import NamedTuple
 
@@ -38,9 +39,9 @@ def scaled_square_matrix(a) -> tuple[np.ndarray, float]:
     than the largest, which round to subnormals), so a routine whose answer
     is invariant under T -> cT reads it from the scaled matrix, and one
     that returns a magnitude multiplies it back by the scale.  The largest
-    entry modulus of the result lies in [2^-500, 2^500], so products of its
-    entries and its Frobenius norm, which every relative cut is taken
-    against, neither under- nor overflow.
+    entry modulus of the result lies in [1, 2), so products of its entries
+    and its Frobenius norm, which every relative cut is taken against,
+    neither under- nor overflow.
     """
     arr = as_square_matrix(a)
     s = binary_scale(arr)
@@ -51,12 +52,12 @@ def scaled_square_matrix(a) -> tuple[np.ndarray, float]:
 def binary_scale(a: np.ndarray) -> float:
     """Power of two to divide ``a`` by before a closed form multiplies entries.
 
-    1 while the largest entry modulus lies in [2^-500, 2^500], where
-    squares and products of entries stay normal and finite; otherwise the
-    largest normal power of two not above it.  Dividing by it is exact.
+    The largest normal power of two not above the largest entry modulus,
+    so the quotient's squares and products of entries stay normal and
+    finite down to 2^-511 of the largest.  Dividing by it is exact.
     """
     e = math.frexp(float(np.abs(a).max()))[1]
-    return 1.0 if abs(e) <= 500 else math.ldexp(1.0, max(e - 1, -1022))
+    return math.ldexp(1.0, max(e - 1, -1022))
 
 
 class CartesianPair(NamedTuple):
@@ -171,15 +172,19 @@ def commutant_dimension(t) -> int:
     return dim
 
 
-def eigenvalues_2x2(a: np.ndarray) -> tuple[complex, complex]:
-    """Eigenvalues (tr/2 - disc, tr/2 + disc) of a 2x2 matrix, closed form,
-    evaluated on ``a / binary_scale(a)``."""
+def center_offset_2x2(a: np.ndarray) -> tuple[complex, complex]:
+    """Eigenvalues c -+ d of a 2x2 matrix as (c, d): c = tr(a) / 2 and
+    d = sqrt(((a00 - a11) / 2)^2 + a01 a10), on ``a / binary_scale(a)``."""
     s = binary_scale(a)
-    a = a / s
-    half = (a[0, 0] + a[1, 1]) / 2.0
-    disc = np.sqrt(complex(half * half - (a[0, 0] * a[1, 1]
-                                          - a[0, 1] * a[1, 0])))
-    return complex(half - disc) * s, complex(half + disc) * s
+    (a00, a01), (a10, a11) = (a / s).tolist()
+    e = complex(a00 - a11) / 2.0
+    return complex(a00 + a11) / 2.0 * s, cmath.sqrt(e * e + a01 * a10) * s
+
+
+def eigenvalues_2x2(a: np.ndarray) -> tuple[complex, complex]:
+    """Eigenvalues (c - d, c + d) of a 2x2 matrix (`center_offset_2x2`)."""
+    c, d = center_offset_2x2(a)
+    return c - d, c + d
 
 
 class SimilarityInvariants2x2(NamedTuple):

@@ -6,10 +6,10 @@ in direction e^{i theta} is the largest eigenvalue of
 cos(theta) H + sin(theta) G where T = H + iG, and the numerical radius
 w(T) is the maximum of the support function over all directions.
 
-This module computes support values and boundary samples, the numerical
-radius (grid scan plus Newton refinement) and the exact elliptical
-range of 2x2 matrices; one eigensolve gives the support function at theta
-and theta + pi, so the scan solves half its grid's pencils.  Sector
+This module computes support values and boundary samples, the exact
+elliptical range of 2x2 matrices, and the numerical radius: the largest
+|z| on that ellipse at n = 2, else a grid scan (one eigensolve per theta
+and theta + pi) plus Newton refinement.  Sector
 containment reads the support function at the outward normals of the
 sector's two rays and at pi; the minimal sector half-angle is arctan of
 the spectral radius of G under the congruence that turns H into the
@@ -27,7 +27,7 @@ import numpy as np
 
 from . import tolerances as tol
 from .errors import MatrixShapeError, ParameterError
-from .matcore import (binary_scale, cartesian_decompose, eigenvalues_2x2,
+from .matcore import (binary_scale, cartesian_decompose, center_offset_2x2,
                       scaled_square_matrix)
 
 HALF_PI = math.pi / 2.0
@@ -178,12 +178,24 @@ def _scan(h: np.ndarray, g: np.ndarray, m: int) -> np.ndarray:
 
 
 def numerical_radius(t) -> float:
-    """Numerical radius w(T): the largest support value met by a 1024-angle
-    scan (`_scan`, 512 eigensolves) and by Newton ascent (`_newton_max`)
-    from its eight highest peaks."""
+    """Numerical radius w(T).  n = 2: max |p + a cos(f) + i (q + b sin(f))|
+    over the ellipse of `_ellipse_axes` turned by u, a = hypot(|d|, b), p =
+    |Re cu|, q = |Im cu| (a reflection), at f = 0, pi/2 and the roots of the
+    quartic in tan(f / 2) b q cos(f) - a p sin(f) = |d|^2 sin(f) cos(f).
+    n >= 3: the largest support value of a 1024-angle scan (`_scan`, 512
+    eigensolves) and of Newton ascent (`_newton_max`) from its top 8 peaks."""
     t, s = scaled_square_matrix(t)  # keeps `_newton_max`'s f'' finite
     if t.shape[0] == 1:
         return s * float(abs(t[0, 0]))
+    if t.shape[0] == 2:
+        c, d, u, b = _ellipse_axes(t)
+        k, a, dd = c * u, math.hypot(abs(d), b), abs(d) ** 2
+        p, q = abs(k.real), abs(k.imag)
+        x = np.roots([-b * q, 2.0 * (dd - a * p), 0.0, -2.0 * (a * p + dd),
+                      b * q]).real.clip(0.0, 1.0).tolist() + [0.0, 1.0]
+        return s * max(math.hypot(p * (1 + r * r) + a * (1 - r * r),
+                                  q * (1 + r * r) + 2.0 * b * r) / (1 + r * r)
+                       for r in x)
     h, g = cartesian_decompose(t)
     m = tol.RADIUS_GRID_POINTS
     vals = _scan(h, g, m)
@@ -203,10 +215,10 @@ def boundary_points(t, m) -> list[BoundarySample]:
     The polygon through the returned points is inscribed in W(T).
     """
     t, s = scaled_square_matrix(t)
-    m = int(m)
-    if m < 3:
-        raise ParameterError(f"need at least 3 boundary samples, got {m}")
-    return _boundary_samples(t, s, 2.0 * math.pi * np.arange(m) / m)
+    if not float(m).is_integer() or m < 3:
+        raise ParameterError(f"need an integral count of at least 3 boundary "
+                             f"samples, got {m!r}")
+    return _boundary_samples(t, s, 2.0 * math.pi * np.arange(int(m)) / m)
 
 
 @dataclass(frozen=True)
@@ -244,27 +256,30 @@ class EllipseDescriptor:
         return math.atan2(diff.imag, diff.real)
 
 
+def _ellipse_axes(t: np.ndarray) -> tuple[complex, complex, complex, float]:
+    """(c, d, u, b) for W(T) of a scaled 2x2 T: foci c -+ d, u = conj(d) / |d|
+    (1 at d = 0) and semi-minor axis b, the support value of u (T - cI) at
+    pi/2: a hypot of the entries of the Hermitian part of -i u (T - cI)."""
+    c, d = center_offset_2x2(t)
+    u = d.conjugate() / abs(d) if d else 1.0
+    (t00, t01), (t10, t11) = t.tolist()
+    return c, d, u, math.hypot((u * (t00 - t11)).imag / 2.0,
+                               abs(u * t01 - (u * t10).conjugate()) / 2.0)
+
+
 def ellipse_2x2(a) -> EllipseDescriptor:
     """Numerical range of a 2x2 matrix: an elliptical disk.
 
-    The foci are the eigenvalues and the minor axis has length
-    sqrt(tr(AA*) - |l1|^2 - |l2|^2); tiny negative radicands from rounding
-    are clamped to zero.  Both are evaluated on the scaled matrix.
+    The foci are the eigenvalues c -+ d and the minor axis is 2b, both from
+    `_ellipse_axes` on the scaled matrix, so no cancelling invariant such
+    as tr(AA*) - |l1|^2 - |l2|^2 enters.
     """
     a, s = scaled_square_matrix(a)
     if a.shape != (2, 2):
         raise MatrixShapeError(f"expected a 2x2 matrix, got {a.shape}")
-    lam = sorted(eigenvalues_2x2(a), key=lambda z: (z.real, z.imag))
-    fro2 = float(np.sum(np.abs(a) ** 2))
-    radicand = fro2 - abs(lam[0]) ** 2 - abs(lam[1]) ** 2
-    if radicand < 0.0:
-        if radicand < -1e-12 * fro2:
-            raise MatrixShapeError(
-                "inconsistent 2x2 invariants (non-real minor axis)")
-        radicand = 0.0
-    minor = math.sqrt(radicand)
-    major = math.hypot(abs(lam[1] - lam[0]), minor)
-    return EllipseDescriptor(lam[0] * s, lam[1] * s, minor * s, major * s)
+    c, d, _, b = _ellipse_axes(a)
+    f = sorted((s * (c - d), s * (c + d)), key=lambda z: (z.real, z.imag))
+    return EllipseDescriptor(*f, 2 * b * s, 2 * math.hypot(abs(d), b) * s)
 
 
 def ellipse_support_point(desc: EllipseDescriptor, theta: float) -> complex:

@@ -208,10 +208,21 @@ def test_ellipse_command(capsys, monkeypatch):
     assert payload["focus1"] == pytest.approx([0.0, 0.0], abs=1e-12)
 
 
-@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_ellipse_command_thin_disk(capsys, monkeypatch):
+    # W(T) is the disk of radius 5e-9 about 1: the minor axis is 1e-8
+    doc = to_json(matrix_document(np.array([[1.0, 1e-8], [0.0, 1.0]])))
+    code, out, _ = run_cli(capsys, ["ellipse", "--in", "-"],
+                           stdin=doc, monkeypatch=monkeypatch)
+    assert code == 0
+    assert json.loads(out)["minor_axis_length"] == pytest.approx(
+        1e-8, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200, 1e308])
 def test_ellipse_command_out_of_square_range(capsys, monkeypatch, scale):
     # squares of these entries under- or overflow unless the matrix is
-    # rescaled before the closed forms
+    # rescaled before the closed forms; at 1e308 the scale is 2^1023, so
+    # twice the scale overflows
     doc = to_json(matrix_document(scale * np.array([[1.0, 1.0], [0.0, 0.3]])))
     code, out, _ = run_cli(capsys, ["ellipse", "--in", "-"],
                            stdin=doc, monkeypatch=monkeypatch)

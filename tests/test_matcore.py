@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import sector_radius as sr
+from sector_radius.matcore import center_offset_2x2, eigenvalues_2x2
 from helpers import (PROPERTY, SEEDS, complex_gaussian, direct_sum, philox,
                      random_unitary)
 
@@ -293,3 +294,34 @@ class TestSimilarityInvariants2x2:
     def test_rejects_wrong_size(self):
         with pytest.raises(sr.MatrixShapeError):
             sr.similarity_invariants_2x2(np.eye(3))
+
+
+class TestEigenvalues2x2:
+    """c -+ d from the traceless part keeps the gap of close eigenvalues,
+    which sqrt(c^2 - det) cancels away."""
+
+    @pytest.mark.parametrize("gap", [1e-7, 1e-9, 1e-12])
+    def test_close_diagonal(self, gap):
+        lo, hi = 1.0 - gap, 1.0 + gap
+        assert eigenvalues_2x2(np.diag([hi, lo]).astype(complex)) \
+            == pytest.approx((lo, hi), rel=0.0, abs=2.3e-16)
+
+    def test_close_off_diagonal(self):
+        c, d = center_offset_2x2(np.array([[1.0, 1e-9], [1e-9, 1.0]]))
+        assert c == 1.0
+        assert d == pytest.approx(1e-9, rel=1e-15, abs=0.0)
+
+    def test_matches_eigvals(self):
+        rng = philox(540)
+        for _ in range(20):
+            a = complex_gaussian((2, 2), rng)
+            assert sorted(eigenvalues_2x2(a), key=lambda z: (z.real, z.imag)) \
+                == pytest.approx(sorted(np.linalg.eigvals(a).tolist(),
+                                        key=lambda z: (z.real, z.imag)),
+                                 abs=1e-14)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e300])
+    def test_out_of_square_range(self, scale):
+        c, d = center_offset_2x2(scale * np.array([[3.0, 1.0], [0.0, 1.0]]))
+        assert (c / scale, d / scale) == pytest.approx((2.0, 1.0), rel=1e-15,
+                                                        abs=0.0)

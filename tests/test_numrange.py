@@ -141,13 +141,17 @@ class TestNewtonRefinement:
     def test_few_sweeps(self, n, copies, monkeypatch):
         # one sweep of the 1024-angle scan, then one per Newton step; the
         # golden section took 49.  kron(I, A) ties every eigenvalue, yet f
-        # is smooth there, so Newton must not fall back to bisection
+        # is smooth there, so Newton must not fall back to bisection.  A
+        # 2x2 matrix takes no sweep: its radius is read off the ellipse
         sweeps = counting_sweeps(monkeypatch)
         for seed in range(5):
             sweeps.clear()
             a = complex_gaussian((n, n), philox(10 * n + seed))
             sr.numerical_radius(np.kron(np.eye(copies), a))
-            assert len(sweeps) <= 1 + 6
+            if n * copies == 2:
+                assert len(sweeps) == 0
+            else:
+                assert len(sweeps) <= 1 + 6
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("t, w", [
@@ -240,6 +244,118 @@ def mp_radius(t):
                                  solver="illinois")
                  for k in peaks[np.argsort(-vals[peaks])][:3]]
         return float(max(top(a)[0] for a in roots))
+
+
+def mp_radius_2x2(t):
+    """w(T) of a 2x2 T to about 35 digits, from its support function, the
+    top eigenvalue of the Hermitian part of z T, z = e^{-i phi}: f(phi) =
+    (Re z(t00 + t11) + hypot(Re z(t00 - t11), |z t01 + conj(z t10)|)) / 2.
+    The result is the largest f at the grid peaks of a 256-angle scan and
+    at the roots of f' that mpmath finds next to the two highest.  T is
+    divided by a power of two first, so f' is of order 1 at any scale."""
+    k = math.frexp(float(np.abs(t).max()))[1]
+    t = t * 2.0 ** -k
+    z = np.exp(-2j * math.pi * np.arange(256) / 256)
+    vals = ((z * (t[0, 0] + t[1, 1])).real
+            + np.hypot((z * (t[0, 0] - t[1, 1])).real,
+                       np.abs(z * t[0, 1] + np.conj(z * t[1, 0])))) / 2
+    peaks = np.flatnonzero((vals >= np.roll(vals, 1))
+                           & (vals >= np.roll(vals, -1)))
+    with mpmath.workdps(40):
+        (a, b), (c, d) = [[mpmath.mpc(x) for x in row] for row in t.tolist()]
+
+        def parts(phi):
+            z = mpmath.expj(-phi)
+            s, e, o = z * (a + d), z * (a - d), z * b + mpmath.conj(z * c)
+            do = -1j * z * b + 1j * mpmath.conj(z * c)
+            return s, e, o, do, mpmath.hypot(mpmath.re(e), abs(o))
+
+        def f(phi):
+            s, _, _, _, r = parts(phi)
+            return (mpmath.re(s) + r) / 2
+
+        def slope(phi):
+            s, e, o, do, r = parts(phi)
+            bend = (mpmath.re(e) * mpmath.im(e)
+                    + mpmath.re(mpmath.conj(o) * do)) / r if r else 0
+            return (mpmath.im(s) + bend) / 2
+
+        step = 2 * mpmath.pi / 256
+        best = max(f(j * step) for j in peaks)
+        for j in peaks[np.argsort(-vals[peaks])][:2]:
+            lo, hi = (j - 1) * step, (j + 1) * step
+            if slope(lo) > 0 > slope(hi):
+                root = mpmath.findroot(slope, (lo, hi), solver="illinois")
+                best = max(best, f(root))
+        return math.ldexp(float(best), k)
+
+
+HALF_PI = math.pi / 2
+
+
+def two_by_two(family, rng):
+    """One 2x2 input of the named family, drawn from `rng`."""
+    u = random_unitary(2, rng)
+    z = complex_gaussian((3,), rng)
+    if family == "gaussian":
+        return complex_gaussian((2, 2), rng)
+    if family == "r_alpha":
+        # alpha = pi/2 and theta = alpha each in about half the draws
+        alpha = rng.choice([rng.uniform(0.05, HALF_PI), HALF_PI])
+        theta = rng.choice([rng.uniform(0.0, alpha), alpha])
+        return (z[0] * u.conj().T
+                @ sr.r_alpha_matrix(rng.uniform(1.0, 4.0), theta, alpha) @ u)
+    if family == "normal":  # W(T) is a segment
+        return u.conj().T @ np.diag(z[:2]) @ u
+    if family == "disk":  # scalar plus nilpotent, centred at 0 in a third
+        c = z[0] * (rng.uniform() < 2 / 3)
+        return u.conj().T @ np.array([[c, z[1]], [0, c]]) @ u
+    if family == "zero":
+        return np.zeros((2, 2))
+    if family == "near_scalar":
+        return np.eye(2) + 1e-8 * complex_gaussian((2, 2), rng)
+    if family == "thin":  # a segment widened by 1e-13 .. 1e-4
+        return u.conj().T @ (np.diag(z[:2]) + 10.0 ** rng.uniform(-13, -4)
+                             * complex_gaussian((2, 2), rng)) @ u
+    return to_binade(complex_gaussian((2, 2), rng), family)[0]
+
+
+class TestTwoByTwoRadius:
+    """At n = 2 the radius is the largest |z| on the elliptical range, with
+    no support sweep and no Newton step."""
+
+    @pytest.mark.parametrize("family, count, seed", [
+        ("gaussian", 50, 600), ("r_alpha", 50, 601), ("normal", 20, 602),
+        ("disk", 20, 603), ("near_scalar", 20, 604), ("thin", 20, 605),
+        ("zero", 1, 606), (1000, 10, 607), (-1000, 10, 608)])
+    def test_matches_mpmath(self, family, count, seed):
+        # 201 inputs; the binades put the largest entry near 2^1000, 2^-1000.
+        # Scaling by 2^-+40 must scale the result exactly
+        rng = philox(seed)
+        for _ in range(count):
+            t = two_by_two(family, rng)
+            w = sr.numerical_radius(t)
+            assert w == pytest.approx(mp_radius_2x2(t), rel=1e-14, abs=0.0)
+            factor = 2.0 ** (-40 if np.abs(t).max() > 1 else 40)
+            assert sr.numerical_radius(factor * t) == factor * w
+
+    def test_small_entries_at_small_scale(self):
+        # off-diagonal entries 2^-80 .. 2^-20 of the largest: at 2^-500 the
+        # products in the closed form underflow unless T is normalized
+        rng = philox(650)
+        for _ in range(20):
+            t = np.eye(2) + 1e-9 * complex_gaussian((2, 2), rng)
+            t[[0, 1], [1, 0]] *= 2.0 ** -rng.uniform(20, 80, 2)
+            assert sr.numerical_radius(2.0 ** -500 * t) == (
+                2.0 ** -500 * sr.numerical_radius(t))
+
+    def test_no_sweep_and_no_newton(self, monkeypatch):
+        sweeps = counting_sweeps(monkeypatch)
+        monkeypatch.setattr(numrange, "_newton_max", None)  # a call raises
+        rng = philox(640)
+        for family in ("gaussian", "r_alpha", "normal", "disk", "thin"):
+            sr.numerical_radius(two_by_two(family, rng))
+        assert sweeps == []
 
 
 class TestHighPrecisionOracle:
@@ -437,6 +553,14 @@ class TestBoundaryPoints:
         with pytest.raises(sr.ParameterError):
             sr.boundary_points(np.eye(2), 2)
 
+    @pytest.mark.parametrize("m", [8.9, math.nan, math.inf])
+    def test_rejects_non_integral_count(self, m):
+        with pytest.raises(sr.ParameterError, match="integral count"):
+            sr.boundary_points(np.eye(2), m)
+
+    def test_integral_float_count(self):
+        assert sr.boundary_points(B1, 8.0) == sr.boundary_points(B1, 8)
+
     def test_support_point_near_overflow(self):
         # |Re <Tv, v>| reaches 1.7e308 here, which the Rayleigh product on
         # the unscaled T overflowed; on T / 2^1023 it is exact, and T / 4
@@ -502,6 +626,26 @@ class TestEllipse2x2:
         assert e.axis_phase == 0.0
         assert sr.ellipse_support_point(e, math.pi / 2) == pytest.approx(
             1 + 0.5j, abs=1e-15)
+
+    @pytest.mark.parametrize("z", [1.0, 1 + 2j])
+    def test_jordan_block_minor_axis(self, z):
+        # W(z [[1, 1e-8], [0, 1]]) is the disk of radius |z| 5e-9 about z,
+        # which the cancelling radicand tr(A*A) - |l1|^2 - |l2|^2 reads as 0
+        e = sr.ellipse_2x2(z * np.array([[1.0, 1e-8], [0.0, 1.0]]))
+        assert e.focus1 == e.focus2 == z
+        assert e.minor_axis_length == pytest.approx(abs(z) * 1e-8, rel=1e-15,
+                                                    abs=0.0)
+        assert e.major_axis_length == e.minor_axis_length
+
+    @pytest.mark.parametrize("gap", [1e-7, 1e-9])
+    def test_close_eigenvalues_segment(self, gap):
+        # a normal matrix: the minor axis is 0 (the radicand reads 1.5e-8
+        # at gap 1e-7), and the foci keep their gap
+        lo, hi = 1.0 - gap, 1.0 + gap
+        e = sr.ellipse_2x2(np.diag([hi, lo]))
+        assert e.minor_axis_length == 0.0
+        assert (e.focus1, e.focus2) == pytest.approx((lo, hi), abs=2.3e-16)
+        assert e.major_axis_length == pytest.approx(hi - lo, rel=1e-15, abs=0.0)
 
     def test_one_point_ellipse(self):
         e = sr.ellipse_2x2(2j * np.eye(2))
