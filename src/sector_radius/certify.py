@@ -134,6 +134,8 @@ def compression_2x2(t, x) -> np.ndarray:
         raise MatrixShapeError(
             f"vector length {x.shape[0]} does not match matrix of "
             f"dimension {t.shape[0]}")
+    if not np.isfinite(x).all():
+        raise ParameterError("x must have finite entries")
     nx = float(np.linalg.norm(x))
     if abs(nx - 1.0) > 1e-8:
         raise ParameterError(f"x must be a unit vector, got norm {nx}")

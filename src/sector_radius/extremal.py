@@ -248,10 +248,9 @@ def irreducible_family(n, d, epsilon=None) -> tuple[np.ndarray, float]:
 
     Returns the matrix together with the epsilon used.
     """
-    n = int(n)
-    if n < 4:
-        raise ParameterError(f"n must be at least 4, got {n}")
-    d = float(d)
+    if not float(n).is_integer() or n < 4:
+        raise ParameterError(f"n must be an integer of at least 4, got {n!r}")
+    n, d = int(n), float(d)
     if not (0.0 < d < CHAIN_COUPLING_MAX):
         raise ParameterError(
             f"d must lie in (0, 1/sqrt(45)) = (0, {CHAIN_COUPLING_MAX:.7f}), "

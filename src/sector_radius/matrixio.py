@@ -82,7 +82,11 @@ def parse_matrix_document(text: str) -> np.ndarray:
                     or not all(type(v) in (int, float) for v in pair)):
                 raise UsageError(
                     f"entry ({i}, {j}) must be a [re, im] pair of reals")
-            out[i, j] = complex(float(pair[0]), float(pair[1]))
+            try:
+                out[i, j] = complex(float(pair[0]), float(pair[1]))
+            except OverflowError as exc:
+                raise UsageError(
+                    f"entry ({i}, {j}) does not fit in float64") from exc
     if not np.isfinite(out).all():
         raise UsageError("matrix entries must be finite")
     return out

@@ -9,10 +9,10 @@ w(T) is the maximum of the support function over all directions.
 This module computes support values and boundary samples, the exact
 elliptical range of 2x2 matrices, and the numerical radius: the largest
 |z| on that ellipse at n = 2, else a grid scan (one eigensolve per theta
-and theta + pi) plus Newton refinement.  Sector
-containment reads the support function at the outward normals of the
-sector's two rays and at pi; the minimal sector half-angle is arctan of
-the spectral radius of G under the congruence that turns H into the
+and theta + pi) plus Newton refinement of the peaks it cannot rule out.
+Sector containment reads the support function at the outward normals of
+the sector's two rays and at pi; the minimal sector half-angle is arctan
+of the spectral radius of G under the congruence that turns H into the
 identity on its range.  A brute-force uniform-grid radius (`grid_radius`)
 is an independent cross-check.
 """
@@ -131,12 +131,12 @@ def _newton_max(h: np.ndarray, g: np.ndarray, x: np.ndarray, step: float,
     scan peaks `x` in brackets [x - step, x + step], all in one batch, with
     f' = v* P' v and f'' = -f + 2 sum_j |u_j* P' v|^2 / (f - l_j) for the
     eigenpairs (l_j, u_j) of P = cos(t) H + sin(t) G, the top one (f, v),
-    summed over the l_j outside the top cluster f - l_j <= `cut`.  A
-    cluster of more than one eigenvalue leaves f differentiable where the
-    compression U* P' U onto it is scalar within `cut`; elsewhere it is a
-    kink.  Brackets shrink by the sign of f', which a step with f'' < 0
-    follows.  A kink, f'' >= 0 or a step over half the bracket bisects; a
-    bracket stops once that step is <= RADIUS_THETA_TOL."""
+    summed over the l_j outside the top cluster f - l_j <= `cut`.  Brackets
+    shrink by the sign of f', which a step with f'' < 0 follows; f'' >= 0
+    or a step over half the bracket bisects.  f'' + f >= 0 as a measure,
+    so every kink of f is a convex corner and no maximum sits at one.  A
+    bracket stops once that step is <= RADIUS_THETA_TOL or |f'| <= `cut`,
+    which ends the noise peaks of a flat f in one sweep."""
     a, b, best = x - step, x + step, -math.inf
     while x.size:
         d1, d2 = np.empty(x.shape), np.empty(x.shape)
@@ -152,20 +152,11 @@ def _newton_max(h: np.ndarray, g: np.ndarray, x: np.ndarray, step: float,
             mag = np.abs(c[:, :-1])  # (|c| / gap) |c| cannot overflow
             ratio = np.divide(mag, gap, out=np.zeros(gap.shape), where=apart)
             d2[sl] = 2.0 * (ratio * mag).sum(axis=1) - w[:, -1]
-            kink = ~apart[:, -1]
-            if kink.any():
-                uk, top = u[kink], w[kink, -1:] - w[kink] <= cut
-                dp = uk.conj().transpose(0, 2, 1) @ (
-                    g @ uk * cs[kink, :, None] - h @ uk * sn[kink, :, None])
-                dp -= d1[sl][kink, None, None] * np.eye(h.shape[0])
-                pair = top[:, :, None] & top[:, None, :]
-                kink[kink] = np.abs(dp, where=pair, out=np.zeros(dp.shape)
-                                    ).max(axis=(1, 2)) > cut
-            d2[sl][kink] = np.inf
         a, b = np.where(d1 >= 0.0, x, a), np.where(d1 >= 0.0, b, x)
         d = np.divide(-d1, d2, out=np.full(x.shape, np.inf), where=d2 < 0.0)
         x = np.where(2.0 * np.abs(d) <= b - a, x + d, (a + b) / 2.0)
-        live = np.minimum(np.abs(d), (b - a) / 2.0) > tol.RADIUS_THETA_TOL
+        live = ((np.minimum(np.abs(d), (b - a) / 2.0) > tol.RADIUS_THETA_TOL)
+                & (np.abs(d1) > cut))
         x, a, b = x[live], a[live], b[live]
     return best
 
@@ -183,7 +174,9 @@ def numerical_radius(t) -> float:
     |Re cu|, q = |Im cu| (a reflection), at f = 0, pi/2 and the roots of the
     quartic in tan(f / 2) b q cos(f) - a p sin(f) = |d|^2 sin(f) cos(f).
     n >= 3: the largest support value of a 1024-angle scan (`_scan`, 512
-    eigensolves) and of Newton ascent (`_newton_max`) from its top 8 peaks."""
+    eigensolves) and of Newton ascent (`_newton_max`) from every scan peak
+    f_k whose sublinear bound f_k / cos(pi / 1024) (see `grid_radius`) on
+    the steps either side, plus n eps ||T||_F, exceeds the best scan value."""
     t, s = scaled_square_matrix(t)  # keeps `_newton_max`'s f'' finite
     if t.shape[0] == 1:
         return s * float(abs(t[0, 0]))
@@ -199,11 +192,10 @@ def numerical_radius(t) -> float:
     h, g = cartesian_decompose(t)
     m = tol.RADIUS_GRID_POINTS
     vals = _scan(h, g, m)
-    local = np.flatnonzero((vals >= np.roll(vals, 1))
-                           & (vals >= np.roll(vals, -1)))
-    order = np.lexsort((local, -vals[local]))
-    pick = local[order][:tol.RADIUS_REFINE_BRACKETS]
     cut = t.shape[0] * np.finfo(float).eps * float(np.linalg.norm(t))
+    pick = np.flatnonzero((vals >= np.roll(vals, 1))
+                          & (vals >= np.roll(vals, -1))
+                          & (vals / math.cos(math.pi / m) + cut > vals.max()))
     refined = _newton_max(h, g, 2.0 * math.pi * pick / m, 2.0 * math.pi / m,
                           cut)
     return s * max(float(vals.max()), refined)
@@ -288,15 +280,19 @@ def ellipse_support_point(desc: EllipseDescriptor, theta: float) -> complex:
     Closed form; serves as an analytic cross-check for `boundary_points`
     on 2x2 matrices.  The axes are divided by ``binary_scale`` first, so
     their squares stay normal at any scale; the support norm is then at
-    least a |cos(theta - psi)| > 0, even on a segment.
+    least a |cos(theta - psi)| > 0, even on a segment.  A non-finite theta
+    raises ParameterError.
     """
+    theta = float(theta)
+    if not math.isfinite(theta):
+        raise ParameterError(f"support direction must be finite, got {theta}")
     s = binary_scale(desc.semi_major)
     a = desc.semi_major / s
     b = desc.semi_minor / s
     if a == 0.0:
         return desc.center
     psi = desc.axis_phase
-    delta = float(theta) - psi
+    delta = theta - psi
     nx = math.cos(delta)
     ny = math.sin(delta)
     hnorm = math.hypot(a * nx, b * ny)

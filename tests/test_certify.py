@@ -212,6 +212,14 @@ class TestCompression2x2:
         with pytest.raises(sr.MatrixShapeError, match="vector length 2"):
             sr.compression_2x2(np.eye(3), [1.0, 0.0])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("x", [[math.nan, 0.0], [1.0, math.inf]],
+                             ids=["nan", "inf"])
+    def test_rejects_non_finite_vector(self, x):
+        # abs(nan - 1) > 1e-8 is False, so the unit-norm check lets nan by
+        with pytest.raises(sr.ParameterError, match="finite"):
+            sr.compression_2x2(np.eye(2), x)
+
 
 class TestCertifyExtremal:
     @pytest.mark.parametrize("alpha", [0.3, math.pi / 4, 1.2, math.pi / 2])

@@ -427,7 +427,10 @@ def test_canonical_family_command(capsys, monkeypatch, a, member):
     ('{"n": 2}', 'needs keys "n" and "entries"'),
     ('{"n": 2, "entries": [[[0, 0]], [[0, 0], [0, 0]]]}', "row 0 must be"),
     ('{"n": 1, "entries": [[[NaN, 0]]]}', "must be finite"),
-], ids=["not-an-object", "missing-keys", "short-row", "nan-entry"])
+    ('{"n": 1, "entries": [[[1' + 400 * "0" + ', 0]]]}',
+     "does not fit in float64"),
+], ids=["not-an-object", "missing-keys", "short-row", "nan-entry",
+        "huge-integer-entry"])
 def test_malformed_document_exit_two(capsys, monkeypatch, doc, message):
     code, out, err = run_cli(capsys, ["radius", "--in", "-"], stdin=doc,
                              monkeypatch=monkeypatch)

@@ -318,6 +318,16 @@ class TestIrreducibleFamily:
         with pytest.raises(sr.ParameterError):
             sr.irreducible_family(3, 0.1)
 
+    @pytest.mark.parametrize("n", [4.7, math.nan, math.inf])
+    def test_rejects_non_integral_size(self, n):
+        # int(4.7) would build a 4x4 chain; int(nan) raises a bare ValueError
+        with pytest.raises(sr.ParameterError, match="n must be an integer"):
+            sr.irreducible_family(n, 0.1)
+
+    def test_integral_float_size(self):
+        t, _ = sr.irreducible_family(4.0, 0.1)
+        assert t.shape == (4, 4)
+
     @pytest.mark.parametrize("eps", [0.0, 1.0, -0.1, math.nan])
     def test_explicit_epsilon_outside_unit_interval(self, eps):
         with pytest.raises(sr.ParameterError, match="epsilon must lie"):
