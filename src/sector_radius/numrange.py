@@ -42,10 +42,11 @@ def validate_sector_angle(alpha) -> float:
     return min(max(a, 0.0), HALF_PI)
 
 
-# Complex entries in one pencil buffer (1 MiB).  Support sweeps run in
+# Complex entries in one pencil buffer (256 KiB).  Support sweeps run in
 # slices of at most this many, so their memory stays flat in the number of
-# angles.
-_PENCIL_ENTRIES = 2 ** 16
+# angles; the buffer and its scratch twin (512 KiB) fit a typical L2 cache.
+# 2^13 was slower at n = 20 and splits the 512-pencil scan from n = 5 on.
+_PENCIL_ENTRIES = 2 ** 14
 
 # Child blocks made in one `_support_values` call by `grid_radius`, which
 # values at most 15/16 of their starts: the others are their parents'.
@@ -323,21 +324,23 @@ def min_sector_angle(t) -> float | None:
 
     Returns None when no sector contains W(T), i.e. when lambda_min(H) <
     ``-PSD_RTOL * ||T||_F``.  Eigenvectors K of H with eigenvalues up to
-    that cut span its kernel; when an entry of G K exceeds the cut, the
-    slope <Gx, x> / <Hx, x> is unbounded over W(T) and the answer is pi/2.
-    Otherwise the slopes are the Rayleigh quotients of R* G R, where
-    R = V_+ / sqrt(w_+) holds the remaining eigenpairs of H, and the
+    4 n eps ||T||_F, the rounding level of `eigh`, span its kernel (near
+    pi/2, lambda_min(H) ~ (pi/2 - alpha)^2 ||T||_F); when an entry of G K
+    exceeds PSD_RTOL ||T||_F, <Gx, x> / <Hx, x> is unbounded over W(T) and
+    the answer is pi/2.  Otherwise the slopes are the Rayleigh quotients of
+    R* G R, R = V_+ / sqrt(w_+) holding the other eigenpairs of H, and the
     answer is arctan of its spectral radius (0 when H vanishes).
     """
     t, _ = scaled_square_matrix(t)
     h, g = cartesian_decompose(t)
-    cut = tol.PSD_RTOL * float(np.linalg.norm(t))
+    fro = float(np.linalg.norm(t))
     w, v = np.linalg.eigh(h)
-    if w[0] < -cut:
+    if w[0] < -tol.PSD_RTOL * fro:
         return None
-    if np.abs(g @ v[:, w <= cut]).max(initial=0.0) > cut:
+    kernel = w <= 4.0 * t.shape[0] * np.finfo(float).eps * fro
+    if np.abs(g @ v[:, kernel]).max(initial=0.0) > tol.PSD_RTOL * fro:
         return HALF_PI
-    r = v[:, w > cut] / np.sqrt(w[w > cut])
+    r = v[:, ~kernel] / np.sqrt(w[~kernel])
     slopes = np.linalg.eigvalsh(r.conj().T @ g @ r)
     return math.atan(float(np.max(np.abs(slopes), initial=0.0)))
 

@@ -18,6 +18,18 @@ def philox(seed):
     return np.random.default_rng(np.random.Philox(seed))
 
 
+def clustered_normal(n, center, rng):
+    """(U diag(l) U*, max |l|) with the n eigenvalues l at moduli in
+    [1 - 2e-6, 1] and angles within 1.5 steps of the 1024-angle radius scan
+    of `center`: each puts a maximum of the support function at its angle,
+    and w = max |l| since the matrix is normal."""
+    step = 2 * math.pi / 1024
+    lam = (rng.uniform(1 - 2e-6, 1.0, n)
+           * np.exp(1j * (center + rng.uniform(-1.5 * step, 1.5 * step, n))))
+    u = random_unitary(n, rng)
+    return u @ np.diag(lam) @ u.conj().T, float(np.abs(lam).max())
+
+
 def to_binade(t, e):
     """(t 2^k, k) with the largest entry modulus of t 2^k in [2^(e-1), 2^e).
     Two multiplications keep 2^k finite for every k a double can need."""

@@ -8,8 +8,8 @@ from hypothesis import given, strategies as st
 
 import sector_radius as sr
 from helpers import (EXTREME_BINADES, POWERS_OF_TWO, PROPERTY, SEEDS,
-                     complex_gaussian, direct_sum, philox, random_unitary,
-                     to_binade)
+                     clustered_normal, complex_gaussian, direct_sum, philox,
+                     random_unitary, to_binade)
 
 SECTOR_ANGLES = st.sampled_from([0.3, 0.9, 1.4, 1.5704, math.pi / 2])
 
@@ -264,6 +264,22 @@ class TestCertifyExtremal:
         assert rep.verdict is sr.Verdict.EXTREMAL
         assert rep.block_offdiag_norm <= 1e-7
         assert rep.tail_radius <= inv_tau + 1e-7
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP items 2 and 4: the radius of the clustered block reads "
+        "below 1/tau + tol, so the ratio and tail stages both pass"))
+    def test_clustered_normal_tail_is_not_extremal(self):
+        # W(C) lies inside the sector and w(C) = (1 + 1e-6) / tau, so w(T) =
+        # w(C), ||T|| = 1 and the ratio is 1.2e-6 below tau: 12 times the
+        # default tolerance.  Seed 33 is the first philox seed on which the
+        # scan-and-Newton radius answers `extremal`
+        alpha = math.pi / 3
+        rng = philox(33)
+        c, w = clustered_normal(5, rng.uniform(-1.0, 1.0), rng)
+        t = direct_sum(sr.extremal_2x2(alpha),
+                       c * (1 + 1e-6) / (sr.tau(alpha) * w))
+        rep = sr.certify_extremal(t, alpha)
+        assert rep.verdict is sr.Verdict.NOT_EXTREMAL
 
     def test_soundness_against_grid_oracle(self):
         alpha = math.pi / 3

@@ -6,12 +6,12 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 import sector_radius as sr
 from helpers import (EXTREME_BINADES, POWERS_OF_TWO, PROPERTY, SEEDS,
-                     complex_gaussian, direct_sum, philox, random_unitary,
-                     to_binade)
+                     clustered_normal, complex_gaussian, direct_sum, philox,
+                     random_unitary, to_binade)
 from sector_radius import numrange, tolerances
 from sector_radius.numrange import _PENCIL_ENTRIES, _support_values
 
@@ -530,11 +530,13 @@ class TestFlatMemory:
         peak = traced_peak_mb(lambda: sr.grid_radius([[0, 1], [0, 0]], 10 ** 6))
         assert peak <= 8
 
-    @pytest.mark.parametrize("n", [50, 150])
-    def test_radius(self, n):
-        # the scan and the Newton sweeps both build pencils slice by slice
+    @pytest.mark.parametrize("n, mb", [(50, 1.5), (150, 8)], ids=["50", "150"])
+    def test_radius(self, n, mb):
+        # the scan and the Newton sweeps both build pencils slice by slice;
+        # at n = 50 the pencil pair of 2^14 entries peaks at 0.88 MB, where
+        # 2^16 entries peaked at 2.62 MB
         t = complex_gaussian((n, n), philox(n))
-        assert traced_peak_mb(lambda: sr.numerical_radius(t)) <= 8
+        assert traced_peak_mb(lambda: sr.numerical_radius(t)) <= mb
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_sliced_sweep_matches_single_angles(self, n):
@@ -743,18 +745,37 @@ class TestMinSectorAngle:
         assert sr.min_sector_angle(sr.r_alpha_matrix(1.0, alpha, alpha)) \
             == pytest.approx(alpha, abs=1e-12)
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "lambda_min(H) = 7.4e-11 falls under the kernel cut PSD_RTOL * "
-        "||T||_F = 2e-10 and G acts on its eigenvector, so the angle reads "
-        "pi/2"))
     def test_family_member_near_half_plane(self):
+        # lambda_min(H) = 7.4e-11 lies under PSD_RTOL * ||T||_F = 2e-10,
+        # yet far above the rounding level, and G acts on its eigenvector
         a = math.pi / 2 - 8.71e-6
         assert sr.min_sector_angle(sr.r_alpha_matrix(1.72, 1.1069, a)) \
             == pytest.approx(a, abs=1e-9)
 
+    def test_family_members_up_to_the_half_plane(self):
+        # pi/2 - alpha log-uniform in [1e-5, 1]: lambda_min(H), of order
+        # (pi/2 - alpha)^2 ||T||_F, falls under PSD_RTOL * ||T||_F for the
+        # members within about 1.4e-5 of pi/2
+        rng = philox(750)
+        err = 0.0
+        for _ in range(8000):
+            a = math.pi / 2 - 10.0 ** rng.uniform(-5.0, 0.0)
+            t = sr.r_alpha_matrix(rng.uniform(1.0, 2.0), rng.uniform(0.0, a), a)
+            err = max(err, abs(sr.min_sector_angle(t) - a))
+        assert err <= 1e-10
+
     def test_kernel_splits_off(self):
         t = direct_sum(np.zeros((1, 1)), sr.extremal_2x2(0.6))
         assert sr.min_sector_angle(t) == pytest.approx(0.6, abs=1e-9)
+        # rotated and rescaled, the kernel's eigenvalues in H read up to
+        # 0.43 n eps ||T||_F, under the cut of 4 n eps ||T||_F
+        for seed in range(400):
+            rng = philox(seed)
+            alpha, m = rng.uniform(0.05, math.pi / 2 - 0.05), rng.integers(1, 4)
+            u = random_unitary(m + 2, rng)
+            t = direct_sum(np.zeros((m, m)), sr.extremal_2x2(alpha))
+            t = 2.0 ** int(rng.integers(-40, 41)) * (u.conj().T @ t @ u)
+            assert sr.min_sector_angle(t) == pytest.approx(alpha, abs=1e-9)
 
     def test_consistency_with_sector_contains(self):
         rng = philox(5)
@@ -794,6 +815,17 @@ class TestRadiusProperties:
         u = random_unitary(t.shape[0], philox(useed))
         assert sr.numerical_radius(u.conj().T @ t @ u) == pytest.approx(
             sr.numerical_radius(t), rel=1e-13)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP items 2 and 4: a Newton bracket holding several maxima of "
+        "f follows one of them; 97 of seeds 0-199 read up to 1.7e-6 low"))
+    @settings(PROPERTY, phases=[Phase.generate])  # no shrinking while it fails
+    @given(SEEDS)
+    def test_clustered_normal_radius_is_max_modulus(self, seed):
+        rng = philox(seed)
+        t, w = clustered_normal(int(rng.integers(3, 9)),
+                                rng.uniform(0.0, 2 * math.pi), rng)
+        assert sr.numerical_radius(t) == pytest.approx(w, rel=1e-12, abs=0.0)
 
     @PROPERTY
     @given(SEEDS)
