@@ -9,7 +9,8 @@ w(T) is the maximum of the support function over all directions.
 This module computes support values and boundary samples, the exact
 elliptical range of 2x2 matrices, and the numerical radius: the largest
 |z| on that ellipse at n = 2, else a grid scan (one eigensolve per theta
-and theta + pi) plus Newton refinement of the peaks it cannot rule out.
+and theta + pi; only near the sector of W(T), if any, which holds its point
+of largest modulus) plus Newton refinement of the peaks it cannot rule out.
 Sector containment reads the support function at the outward normals of
 the sector's two rays and at pi; the minimal sector half-angle is arctan
 of the spectral radius of G under the congruence that turns H into the
@@ -162,11 +163,13 @@ def _newton_max(h: np.ndarray, g: np.ndarray, x: np.ndarray, step: float,
     return best
 
 
-def _scan(h: np.ndarray, g: np.ndarray, m: int) -> np.ndarray:
-    """Support values at the angles 2 pi k / m (m even) from m / 2 pencils:
-    P(t + pi) = -P(t), so f(t + pi) = -lambda_min(P(t))."""
-    top, bottom = _support_values(h, g, 2.0 * math.pi * np.arange(m // 2) / m)
-    return np.concatenate([top, 0.0 - bottom])  # -bottom gives -0.0 at 0
+def _scan(h: np.ndarray, g: np.ndarray, m: int, k: np.ndarray) -> np.ndarray:
+    """Support values at the angles 2 pi k / m and 2 pi k / m + pi (k < m / 2,
+    m even), -inf elsewhere: P(t + pi) = -P(t), so f(t + pi) = -l_min(P(t))."""
+    vals = np.full(m, -np.inf)
+    top, bottom = _support_values(h, g, 2.0 * math.pi * k / m)
+    vals[k], vals[k + m // 2] = top, 0.0 - bottom  # -bottom gives -0.0 at 0
+    return vals
 
 
 def numerical_radius(t) -> float:
@@ -174,10 +177,13 @@ def numerical_radius(t) -> float:
     over the ellipse of `_ellipse_axes` turned by u, a = hypot(|d|, b), p =
     |Re cu|, q = |Im cu| (a reflection), at f = 0, pi/2 and the roots of the
     quartic in tan(f / 2) b q cos(f) - a p sin(f) = |d|^2 sin(f) cos(f).
-    n >= 3: the largest support value of a 1024-angle scan (`_scan`, 512
+    n >= 3: the largest support value of a 1024-angle scan (`_scan`, <= 512
     eigensolves) and of Newton ascent (`_newton_max`) from every scan peak
     f_k whose sublinear bound f_k / cos(pi / 1024) (see `grid_radius`) on
-    the steps either side, plus n eps ||T||_F, exceeds the best scan value."""
+    the steps either side, plus n eps ||T||_F, exceeds the best scan value.
+    If W(T) lies in the sector of half-angle alpha = `min_sector_angle`, the
+    scan skips angles over alpha + 2 steps (alpha's rounding) from 0: W(T)'s
+    point z of largest modulus has |arg z| <= alpha and f(arg z) = |z| = w."""
     t, s = scaled_square_matrix(t)  # keeps `_newton_max`'s f'' finite
     if t.shape[0] == 1:
         return s * float(abs(t[0, 0]))
@@ -191,8 +197,10 @@ def numerical_radius(t) -> float:
                                   q * (1 + r * r) + 2.0 * b * r) / (1 + r * r)
                        for r in x)
     h, g = cartesian_decompose(t)
-    m = tol.RADIUS_GRID_POINTS
-    vals = _scan(h, g, m)
+    m, alpha = tol.RADIUS_GRID_POINTS, min_sector_angle(t)
+    k = np.arange(m // 2)  # pencils with t or t + pi in alpha + 2 steps of 0
+    reach = (math.pi if alpha is None else alpha) * m / (2.0 * math.pi) + 2.0
+    vals = _scan(h, g, m, k[(k <= reach) | (k >= m // 2 - reach)])
     cut = t.shape[0] * np.finfo(float).eps * float(np.linalg.norm(t))
     pick = np.flatnonzero((vals >= np.roll(vals, 1))
                           & (vals >= np.roll(vals, -1))

@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import settings, strategies as st
 
 from sector_radius.acceptance import (complex_gaussian, direct_sum,
-                                      random_unitary)
+                                      random_unitary, sectorial_sample)
 
 
 def philox(seed):

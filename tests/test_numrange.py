@@ -11,7 +11,7 @@ from hypothesis import Phase, given, settings, strategies as st
 import sector_radius as sr
 from helpers import (EXTREME_BINADES, POWERS_OF_TWO, PROPERTY, SEEDS,
                      clustered_normal, complex_gaussian, direct_sum, philox,
-                     random_unitary, to_binade)
+                     random_unitary, sectorial_sample, to_binade)
 from sector_radius import numrange, tolerances
 from sector_radius.numrange import _PENCIL_ENTRIES, _support_values
 
@@ -215,9 +215,25 @@ class TestHalfTurnScan:
         assert tolerances.RADIUS_GRID_POINTS % 2 == 0
 
     def test_scan_solves_half_the_grid(self, monkeypatch):
+        # a Gaussian lies in no sector, so its scan keeps every angle
+        t = complex_gaussian((4, 4), philox(4))
+        assert sr.min_sector_angle(t) is None
         sweeps = counting_sweeps(monkeypatch)
-        sr.numerical_radius(complex_gaussian((4, 4), philox(4)))
+        sr.numerical_radius(t)
         assert sweeps[0].size == tolerances.RADIUS_GRID_POINTS // 2
+
+    def test_sector_scan_solves_its_cone(self, monkeypatch):
+        # the pencils whose angle t, or t + pi, lies within alpha + 2 steps
+        # of 0: 2 floor(m alpha / (2 pi) + 2) + 1 of them
+        u = random_unitary(3, philox(6))
+        t = u.conj().T @ direct_sum(sr.extremal_2x2(math.pi / 6),
+                                    np.eye(1) / 2) @ u
+        alpha = sr.min_sector_angle(t)
+        assert alpha == pytest.approx(math.pi / 6, abs=1e-9)
+        sweeps = counting_sweeps(monkeypatch)
+        sr.numerical_radius(t)
+        m = tolerances.RADIUS_GRID_POINTS
+        assert m * alpha / math.pi < sweeps[0].size <= m * alpha / math.pi + 5
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_zero_radius_is_positive_zero(self, n):
@@ -239,7 +255,8 @@ class TestHalfTurnScan:
         m = tolerances.RADIUS_GRID_POINTS
         direct = _support_values(h, g, 2 * math.pi * np.arange(m) / m)[0]
         bound = 4 * base.shape[0] * np.finfo(float).eps * s * np.linalg.norm(base)
-        assert np.abs(numrange._scan(h, g, m) - direct).max() <= bound
+        scan = numrange._scan(h, g, m, np.arange(m // 2))
+        assert np.abs(scan - direct).max() <= bound
 
 
 def mp_radius(t):
@@ -794,6 +811,27 @@ class TestMinSectorAngle:
             if amin > 1e-4:
                 assert not sr.sector_contains(t, amin - 1e-4)
 
+    @PROPERTY
+    @given(SEEDS, st.floats(0.01, math.pi / 2 - 1e-3), st.booleans())
+    def test_family_members_consistent_with_sector_contains(self, seed, alpha,
+                                                            tail):
+        # the radius scans only the sector min_sector_angle reads.  Near
+        # pi/2 the sector test's PSD_RTOL cut still forgives a step of
+        # 1e-6 below alpha (the member at pi/2 - 8.71e-6 stays inside at
+        # alpha - 8e-6), so alpha stays 1e-3 away from it
+        rng = philox(seed)
+        t = sr.r_alpha_matrix(rng.uniform(1.0, 3.0), rng.uniform(0.0, alpha),
+                              alpha)
+        if tail:  # a small normal block inside the sector, all conjugated
+            m = int(rng.integers(1, 4))
+            lam = rng.uniform(0.0, 0.3, m) * np.exp(
+                1j * rng.uniform(-alpha, alpha, m))
+            u = random_unitary(m + 2, rng)
+            t = u.conj().T @ direct_sum(t, np.diag(lam)) @ u
+        a = sr.min_sector_angle(t)
+        assert sr.sector_contains(t, a + 1e-9)
+        assert not sr.sector_contains(t, a - 1e-6)
+
     def test_angle_validation(self):
         with pytest.raises(sr.ParameterError):
             sr.sector_contains(np.eye(2), 2.0)
@@ -854,6 +892,65 @@ class TestRadiusProperties:
         t = gaussian(seed)
         assert sr.numerical_radius(factor * t) / factor == pytest.approx(
             sr.numerical_radius(t), rel=1e-13)
+
+
+class TestSectorCone:
+    """Inside a sector of half-angle alpha the radius scans only the angles
+    within alpha + 2 steps of 0.  -T lies in no sector, so its radius scans
+    every angle, and the two must agree."""
+
+    @staticmethod
+    def check_against_full_scan(t):
+        assert sr.min_sector_angle(-t) is None
+        assert sr.numerical_radius(t) == pytest.approx(
+            sr.numerical_radius(-t), rel=1e-13)
+
+    @PROPERTY
+    @given(SEEDS, st.integers(3, 8), st.floats(0.0, math.pi / 2 - 1e-8))
+    def test_sectorial_samples(self, seed, n, alpha):
+        self.check_against_full_scan(sectorial_sample(n, alpha, philox(seed)))
+
+    @PROPERTY
+    @given(SEEDS, st.sampled_from([0.01, math.pi / 6, math.pi / 3,
+                                   math.pi / 2]))
+    def test_conjugated_extremal_sums(self, seed, alpha):
+        # the normal block's largest modulus lies on either side of the
+        # extremal block's radius 1 / tau(alpha)
+        rng = philox(seed)
+        m = int(rng.integers(1, 5))
+        lam = rng.uniform(0.0, 1.1, m) * np.exp(
+            1j * rng.uniform(-alpha, alpha, m))
+        u = random_unitary(m + 2, rng)
+        self.check_against_full_scan(
+            u.conj().T @ direct_sum(sr.extremal_2x2(alpha), np.diag(lam)) @ u)
+
+    @PROPERTY
+    @given(SEEDS, st.floats(-1.4, 1.4))
+    def test_clustered_normal(self, seed, center):
+        rng = philox(seed)
+        t, _ = clustered_normal(int(rng.integers(3, 9)), center, rng)
+        self.check_against_full_scan(t)
+
+    @pytest.mark.parametrize("t", [
+        np.array([[2.0, 1j, 0.0], [-1j, 1.0, 0.0], [0.0, 0.0, 0.0]]),
+        np.eye(3),
+    ], ids=["psd-hermitian", "identity"])
+    def test_zero_angle(self, t):
+        # the zero 3x3, whose negation lies in a sector too, is
+        # TestHalfTurnScan.test_zero_radius_is_positive_zero's
+        assert sr.min_sector_angle(t) == 0.0
+        self.check_against_full_scan(t)
+
+    def test_negative_hermitian_part_inside_the_slack(self):
+        # lambda_min(H) = -3e-11 lies above -PSD_RTOL ||T||_F, so W(T)
+        # pokes out of the sector that min_sector_angle reads
+        u = random_unitary(3, philox(9))
+        t = direct_sum(np.array([[-3e-11]]), sr.extremal_2x2(0.6))
+        t = u.conj().T @ t @ u
+        lo = np.linalg.eigvalsh(sr.cartesian_decompose(t)[0])[0]
+        assert -tolerances.PSD_RTOL * np.linalg.norm(t) < lo < 0.0
+        assert sr.min_sector_angle(t) == pytest.approx(0.6, abs=1e-9)
+        self.check_against_full_scan(t)
 
 
 def sectorial(seed, n=None):
