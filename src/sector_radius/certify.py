@@ -31,6 +31,7 @@ from .matcore import (
 from .extremal import extremal_2x2, r_alpha_matrix
 from .numrange import (
     HALF_PI,
+    _radius,
     min_sector_angle,
     numerical_radius,
     sector_contains,
@@ -66,7 +67,7 @@ def ratio_check(t) -> RatioCheck:
         raise DegenerateError("ratio of the zero matrix is undefined")
     alpha_min = min_sector_angle(t)
     bound = 2.0 if alpha_min is None else tau(alpha_min)
-    ratio = norm / numerical_radius(t)
+    ratio = norm / _radius(t, alpha_min)
     return RatioCheck(alpha_min, ratio, bound,
                       ratio <= bound + tol.RATIO_BOUND_SLACK)
 

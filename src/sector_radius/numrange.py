@@ -127,19 +127,28 @@ def _boundary_samples(t: np.ndarray, s: float,
     return out
 
 
-def _newton_max(h: np.ndarray, g: np.ndarray, x: np.ndarray, step: float,
-                cut: float) -> float:
+def _newton_max(h: np.ndarray, g: np.ndarray, vals: np.ndarray,
+                k: np.ndarray, cut: float) -> float:
     """Largest support value met by safeguarded Newton ascent from the
-    scan peaks `x` in brackets [x - step, x + step], all in one batch, with
-    f' = v* P' v and f'' = -f + 2 sum_j |u_j* P' v|^2 / (f - l_j) for the
-    eigenpairs (l_j, u_j) of P = cos(t) H + sin(t) G, the top one (f, v),
-    summed over the l_j outside the top cluster f - l_j <= `cut`.  Brackets
-    shrink by the sign of f', which a step with f'' < 0 follows; f'' >= 0
-    or a step over half the bracket bisects.  f'' + f >= 0 as a measure,
-    so every kink of f is a convex corner and no maximum sits at one.  A
-    bracket stops once that step is <= RADIUS_THETA_TOL or |f'| <= `cut`,
-    which ends the noise peaks of a flat f in one sweep."""
+    peaks k of the scan `vals` (step h = 2 pi / vals.size) in brackets
+    [h (k - 1), h (k + 1)], all in one batch, each started at the vertex of
+    the parabola through f_{k-1}, f_k and f_{k+1}: within h / 2 of h k, as
+    f_k is a local maximum, and at h k if a neighbour is off the scan's
+    cone (-inf).  f' = v* P' v and f'' = -f + 2 sum_j |u_j* P' v|^2 /
+    (f - l_j) for the eigenpairs (l_j, u_j) of P = cos(t) H + sin(t) G, the
+    top one (f, v), summed over the l_j outside the top cluster f - l_j <=
+    `cut`.  Brackets shrink by the sign of f', which a step with f'' < 0
+    follows; f'' >= 0 or a step over half the bracket bisects.  f'' + f >= 0
+    as a measure, so every kink of f is a convex corner and no maximum sits
+    at one.  A bracket stops once that step is <= RADIUS_THETA_TOL or |f'|
+    <= `cut`, which ends the noise peaks of a flat f in one sweep."""
+    step = 2.0 * math.pi / vals.size
+    rise = vals[k] - np.array([vals[k - 1], vals[(k + 1) % vals.size]])
+    rise[:, np.isinf(rise).any(axis=0)] = 0.0  # both >= 0; no inf - inf
+    x, both = step * k, rise.sum(axis=0)
     a, b, best = x - step, x + step, -math.inf
+    x = x + step * np.divide(rise[0] - rise[1], 2.0 * both,
+                             out=np.zeros(k.shape), where=both > 0.0)
     while x.size:
         d1, d2 = np.empty(x.shape), np.empty(x.shape)
         for sl, p in _pencils(h, g, x):
@@ -173,31 +182,37 @@ def _scan(h: np.ndarray, g: np.ndarray, m: int, k: np.ndarray) -> np.ndarray:
 
 
 def numerical_radius(t) -> float:
-    """Numerical radius w(T).  n = 2: max |p + a cos(f) + i (q + b sin(f))|
-    over the ellipse of `_ellipse_axes` turned by u, a = hypot(|d|, b), p =
-    |Re cu|, q = |Im cu| (a reflection), at f = 0, pi/2 and the roots of the
-    quartic in tan(f / 2) b q cos(f) - a p sin(f) = |d|^2 sin(f) cos(f).
-    n >= 3: the largest support value of a 1024-angle scan (`_scan`, <= 512
+    """Numerical radius: `_radius` of scaled T, its sector angle at n >= 3."""
+    t, s = scaled_square_matrix(t)  # keeps `_newton_max`'s f'' finite
+    return s * _radius(t, min_sector_angle(t) if t.shape[0] > 2 else None)
+
+
+def _radius(t: np.ndarray, alpha: float | None) -> float:
+    """w(T) of a scaled T whose W(T) lies in the sector of half-angle alpha
+    (None: in none).  n = 2: max |p + a cos(f) + i (q + b sin(f))| over the
+    ellipse of `_ellipse_axes` turned by u, a = hypot(|d|, b), p = |Re cu|,
+    q = |Im cu| (a reflection), at f = 0, pi/2 and the roots of the quartic
+    in tan(f / 2) b q cos(f) - a p sin(f) = |d|^2 sin(f) cos(f).  n >= 3:
+    the largest support value of a 1024-angle scan (`_scan`, <= 512
     eigensolves) and of Newton ascent (`_newton_max`) from every scan peak
     f_k whose sublinear bound f_k / cos(pi / 1024) (see `grid_radius`) on
     the steps either side, plus n eps ||T||_F, exceeds the best scan value.
-    If W(T) lies in the sector of half-angle alpha = `min_sector_angle`, the
-    scan skips angles over alpha + 2 steps (alpha's rounding) from 0: W(T)'s
-    point z of largest modulus has |arg z| <= alpha and f(arg z) = |z| = w."""
-    t, s = scaled_square_matrix(t)  # keeps `_newton_max`'s f'' finite
+    Given alpha, the scan skips angles over alpha + 2 steps (alpha's
+    rounding) from 0: W(T)'s point z of largest modulus has |arg z| <=
+    alpha and f(arg z) = |z| = w."""
     if t.shape[0] == 1:
-        return s * float(abs(t[0, 0]))
+        return float(abs(t[0, 0]))
     if t.shape[0] == 2:
         c, d, u, b = _ellipse_axes(t)
         k, a, dd = c * u, math.hypot(abs(d), b), abs(d) ** 2
         p, q = abs(k.real), abs(k.imag)
         x = np.roots([-b * q, 2.0 * (dd - a * p), 0.0, -2.0 * (a * p + dd),
                       b * q]).real.clip(0.0, 1.0).tolist() + [0.0, 1.0]
-        return s * max(math.hypot(p * (1 + r * r) + a * (1 - r * r),
-                                  q * (1 + r * r) + 2.0 * b * r) / (1 + r * r)
-                       for r in x)
+        return max(math.hypot(p * (1 + r * r) + a * (1 - r * r),
+                              q * (1 + r * r) + 2.0 * b * r) / (1 + r * r)
+                   for r in x)
     h, g = cartesian_decompose(t)
-    m, alpha = tol.RADIUS_GRID_POINTS, min_sector_angle(t)
+    m = tol.RADIUS_GRID_POINTS
     k = np.arange(m // 2)  # pencils with t or t + pi in alpha + 2 steps of 0
     reach = (math.pi if alpha is None else alpha) * m / (2.0 * math.pi) + 2.0
     vals = _scan(h, g, m, k[(k <= reach) | (k >= m // 2 - reach)])
@@ -205,9 +220,7 @@ def numerical_radius(t) -> float:
     pick = np.flatnonzero((vals >= np.roll(vals, 1))
                           & (vals >= np.roll(vals, -1))
                           & (vals / math.cos(math.pi / m) + cut > vals.max()))
-    refined = _newton_max(h, g, 2.0 * math.pi * pick / m, 2.0 * math.pi / m,
-                          cut)
-    return s * max(float(vals.max()), refined)
+    return max(float(vals.max()), _newton_max(h, g, vals, pick, cut))
 
 
 def boundary_points(t, m) -> list[BoundarySample]:
@@ -377,9 +390,9 @@ def grid_radius(t, points: int = 1_000_000) -> float:
     refinement in `numerical_radius`.
     """
     t, s = scaled_square_matrix(t)
-    if not float(points).is_integer() or points < 8:
+    if not float(points).is_integer() or not 8 <= points <= 2 ** 53:
         raise ParameterError(f"grid needs an integral count of at least 8 "
-                             f"points, got {points!r}")
+                             f"points and at most 2**53, got {points!r}")
     points, n = int(points), t.shape[0]
     if n == 1:
         return s * float(abs(t[0, 0]))

@@ -9,7 +9,8 @@ from hypothesis import given, strategies as st
 import sector_radius as sr
 from helpers import (EXTREME_BINADES, POWERS_OF_TWO, PROPERTY, SEEDS,
                      clustered_normal, complex_gaussian, direct_sum, philox,
-                     random_unitary, to_binade)
+                     random_unitary, sectorial_sample, to_binade)
+from sector_radius import certify, numrange
 
 SECTOR_ANGLES = st.sampled_from([0.3, 0.9, 1.4, 1.5704, math.pi / 2])
 
@@ -45,6 +46,28 @@ class TestRatioCheck:
         assert sr.ratio_check(2.0 ** 1022 * t) == sr.ratio_check(t)
         assert (sr.certify_extremal(2.0 ** 1022 * t, 0.5).verdict
                 is sr.certify_extremal(t, 0.5).verdict)
+
+
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_sector_angle_read_once(self, n, monkeypatch):
+        # the radius takes the angle ratio_check has already read, and the
+        # answer is the public radius's and angle's
+        t = sectorial_sample(n, 0.9, philox(n))
+        want = (sr.min_sector_angle(t),
+                sr.operator_norm(t) / sr.numerical_radius(t))
+        calls = []
+        real = numrange.min_sector_angle
+
+        def counting(a):
+            calls.append(a)
+            return real(a)
+
+        monkeypatch.setattr(numrange, "min_sector_angle", counting)
+        monkeypatch.setattr(certify, "min_sector_angle", counting)
+        res = sr.ratio_check(t)
+        assert len(calls) == 1
+        assert (res.alpha_min, res.ratio) == want
+        assert res.bound == sr.tau(want[0]) and res.ok
 
 
 class TestCanonicalFamilyTest:
