@@ -21,7 +21,8 @@ from .extremal import (canonical_b, extremal_2x2, irreducible_family,
 from .matrixio import (boundary_csv, complex_pair, matrix_document,
                        read_matrix, to_json, write_text)
 from .numrange import (boundary_points, ellipse_2x2, min_sector_angle,
-                       numerical_radius, sector_contains)
+                       numerical_radius, sector_contains,
+                       validate_sector_angle)
 from .matcore import operator_norm
 
 
@@ -64,8 +65,8 @@ def _cmd_ratio(args) -> int:
 
 
 def _cmd_sector(args) -> int:
-    contained = sector_contains(read_matrix(args.infile), args.alpha)
-    _print_json({"alpha": args.alpha, "contained": contained})
+    t, alpha = read_matrix(args.infile), validate_sector_angle(args.alpha)
+    _print_json({"alpha": alpha, "contained": sector_contains(t, alpha)})
     return 0
 
 

@@ -9,8 +9,8 @@ w(T) is the maximum of the support function over all directions.
 This module computes support values and boundary samples, the exact
 elliptical range of 2x2 matrices, and the numerical radius: the largest
 |z| on that ellipse at n = 2, else a grid scan (one eigensolve per theta
-and theta + pi; only near the sector of W(T), if any, which holds its point
-of largest modulus) plus Newton refinement of the peaks it cannot rule out.
+and theta + pi, where the Bendixson rectangle lets the point of largest
+modulus lie) plus Newton refinement of the peaks it cannot rule out.
 Sector containment reads the support function at the outward normals of
 the sector's two rays and at pi; the minimal sector half-angle is arctan
 of the spectral radius of G under the congruence that turns H into the
@@ -40,7 +40,7 @@ def validate_sector_angle(alpha) -> float:
     if not math.isfinite(a) or a < -1e-12 or a > HALF_PI + 1e-12:
         raise ParameterError(
             f"sector half-angle must lie in [0, pi/2], got {alpha!r}")
-    return min(max(a, 0.0), HALF_PI)
+    return 0.0 if a <= 0.0 else min(a, HALF_PI)  # -0.0 too reads 0.0
 
 
 # Complex entries in one pencil buffer (256 KiB).  Support sweeps run in
@@ -52,6 +52,10 @@ _PENCIL_ENTRIES = 2 ** 14
 # Child blocks made in one `_support_values` call by `grid_radius`, which
 # values at most 15/16 of their starts: the others are their parents'.
 _GRID_BLOCKS = 4096
+
+# Rows cos t and sin t at the radius scan's half-turn angles 2 pi k / m.
+_HALF_TURN = np.exp(2j * math.pi / tol.RADIUS_GRID_POINTS * np.arange(
+    tol.RADIUS_GRID_POINTS // 2))[:, None].view(float).T.copy()
 
 
 def _pencils(h: np.ndarray, g: np.ndarray, thetas: np.ndarray):
@@ -134,14 +138,15 @@ def _newton_max(h: np.ndarray, g: np.ndarray, vals: np.ndarray,
     [h (k - 1), h (k + 1)], all in one batch, each started at the vertex of
     the parabola through f_{k-1}, f_k and f_{k+1}: within h / 2 of h k, as
     f_k is a local maximum, and at h k if a neighbour is off the scan's
-    cone (-inf).  f' = v* P' v and f'' = -f + 2 sum_j |u_j* P' v|^2 /
+    window (-inf).  f' = v* P' v and f'' = -f + 2 sum_j |u_j* P' v|^2 /
     (f - l_j) for the eigenpairs (l_j, u_j) of P = cos(t) H + sin(t) G, the
     top one (f, v), summed over the l_j outside the top cluster f - l_j <=
     `cut`.  Brackets shrink by the sign of f', which a step with f'' < 0
     follows; f'' >= 0 or a step over half the bracket bisects.  f'' + f >= 0
     as a measure, so every kink of f is a convex corner and no maximum sits
-    at one.  A bracket stops once that step is <= RADIUS_THETA_TOL or |f'|
-    <= `cut`, which ends the noise peaks of a flat f in one sweep."""
+    at one.  A bracket stops once that step is <= RADIUS_THETA_TOL, |f'| <=
+    `cut` (the noise peaks of a flat f, in one sweep) or the step's rise
+    f'^2 / -f'' <= 2 eps |f|: the next sweep would gain an ulp at most."""
     step = 2.0 * math.pi / vals.size
     rise = vals[k] - np.array([vals[k - 1], vals[(k + 1) % vals.size]])
     rise[:, np.isinf(rise).any(axis=0)] = 0.0  # both >= 0; no inf - inf
@@ -150,24 +155,25 @@ def _newton_max(h: np.ndarray, g: np.ndarray, vals: np.ndarray,
     x = x + step * np.divide(rise[0] - rise[1], 2.0 * both,
                              out=np.zeros(k.shape), where=both > 0.0)
     while x.size:
-        d1, d2 = np.empty(x.shape), np.empty(x.shape)
+        f, d1, d2 = np.empty(x.shape), np.empty(x.shape), np.empty(x.shape)
         for sl, p in _pencils(h, g, x):
             w, u = np.linalg.eigh(p)
             cs, sn = np.cos(x[sl])[:, None], np.sin(x[sl])[:, None]
             dv = u[..., -1] @ g.T * cs - u[..., -1] @ h.T * sn
             c = np.einsum("kji,kj->ki", u.conj(), dv)
-            best = max(best, float(w[:, -1].max()))
-            d1[sl] = c[:, -1].real
+            f[sl], d1[sl] = w[:, -1], c[:, -1].real
             gap = w[:, -1:] - w[:, :-1]
             apart = gap > cut
             mag = np.abs(c[:, :-1])  # (|c| / gap) |c| cannot overflow
             ratio = np.divide(mag, gap, out=np.zeros(gap.shape), where=apart)
             d2[sl] = 2.0 * (ratio * mag).sum(axis=1) - w[:, -1]
+        best = max(best, float(f.max()))
         a, b = np.where(d1 >= 0.0, x, a), np.where(d1 >= 0.0, b, x)
         d = np.divide(-d1, d2, out=np.full(x.shape, np.inf), where=d2 < 0.0)
         x = np.where(2.0 * np.abs(d) <= b - a, x + d, (a + b) / 2.0)
         live = ((np.minimum(np.abs(d), (b - a) / 2.0) > tol.RADIUS_THETA_TOL)
-                & (np.abs(d1) > cut))
+                & (np.abs(d1) > cut) & (d1 * d1 > 2.0 * np.finfo(float).eps
+                                        * np.abs(f) * np.maximum(-d2, 0.0)))
         x, a, b = x[live], a[live], b[live]
     return best
 
@@ -182,45 +188,44 @@ def _scan(h: np.ndarray, g: np.ndarray, m: int, k: np.ndarray) -> np.ndarray:
 
 
 def numerical_radius(t) -> float:
-    """Numerical radius: `_radius` of scaled T, its sector angle at n >= 3."""
+    """Numerical radius w(T), the largest support value of W(T).  n = 2:
+    max |p + a cos(f) + i (q + b sin(f))| over the ellipse of `_ellipse_axes`
+    turned by u, a = hypot(|d|, b), p = |Re cu|, q = |Im cu| (a reflection),
+    at f = 0, pi/2 and the roots of the quartic in tan(f / 2) b q cos(f) -
+    a p sin(f) = |d|^2 sin(f) cos(f).  n >= 3: the best value of a 1024-angle
+    scan (`_scan`) and of Newton ascent (`_newton_max`) from each peak f_k
+    whose sublinear bound f_k / cos(pi / 1024) (see `grid_radius`) plus cut
+    = n eps ||T||_F beats the scan.  L <= w, the largest support value of the
+    Bendixson rectangle spec(H) x spec(G) less cut, puts L e^{i arg z} (|z| =
+    w = f(arg z)) in that rectangle grown to hold 0; the scan solves only the
+    pencils whose t or t + pi puts L e^{it} in it when grown by cut + 2.5
+    steps times its farthest corner's modulus: all within 2 steps of arg z."""
     t, s = scaled_square_matrix(t)  # keeps `_newton_max`'s f'' finite
-    return s * _radius(t, min_sector_angle(t) if t.shape[0] > 2 else None)
-
-
-def _radius(t: np.ndarray, alpha: float | None) -> float:
-    """w(T) of a scaled T whose W(T) lies in the sector of half-angle alpha
-    (None: in none).  n = 2: max |p + a cos(f) + i (q + b sin(f))| over the
-    ellipse of `_ellipse_axes` turned by u, a = hypot(|d|, b), p = |Re cu|,
-    q = |Im cu| (a reflection), at f = 0, pi/2 and the roots of the quartic
-    in tan(f / 2) b q cos(f) - a p sin(f) = |d|^2 sin(f) cos(f).  n >= 3:
-    the largest support value of a 1024-angle scan (`_scan`, <= 512
-    eigensolves) and of Newton ascent (`_newton_max`) from every scan peak
-    f_k whose sublinear bound f_k / cos(pi / 1024) (see `grid_radius`) on
-    the steps either side, plus n eps ||T||_F, exceeds the best scan value.
-    Given alpha, the scan skips angles over alpha + 2 steps (alpha's
-    rounding) from 0: W(T)'s point z of largest modulus has |arg z| <=
-    alpha and f(arg z) = |z| = w."""
     if t.shape[0] == 1:
-        return float(abs(t[0, 0]))
+        return s * float(abs(t[0, 0]))
     if t.shape[0] == 2:
         c, d, u, b = _ellipse_axes(t)
         k, a, dd = c * u, math.hypot(abs(d), b), abs(d) ** 2
         p, q = abs(k.real), abs(k.imag)
         x = np.roots([-b * q, 2.0 * (dd - a * p), 0.0, -2.0 * (a * p + dd),
                       b * q]).real.clip(0.0, 1.0).tolist() + [0.0, 1.0]
-        return max(math.hypot(p * (1 + r * r) + a * (1 - r * r),
-                              q * (1 + r * r) + 2.0 * b * r) / (1 + r * r)
-                   for r in x)
+        return s * max(math.hypot(p * (1 + r * r) + a * (1 - r * r),
+                                  q * (1 + r * r) + 2.0 * b * r) / (1 + r * r)
+                       for r in x)
     h, g = cartesian_decompose(t)
     m = tol.RADIUS_GRID_POINTS
-    k = np.arange(m // 2)  # pencils with t or t + pi in alpha + 2 steps of 0
-    reach = (math.pi if alpha is None else alpha) * m / (2.0 * math.pi) + 2.0
-    vals = _scan(h, g, m, k[(k <= reach) | (k >= m // 2 - reach)])
     cut = t.shape[0] * np.finfo(float).eps * float(np.linalg.norm(t))
+    side = np.maximum(_support_values(h, g, [0.0, HALF_PI]) * [[1], [-1]], 0)
+    grow = math.hypot(*side.max(axis=0)) * 5.0 * math.pi / m + cut
+    (xh, yh), (xn, yn) = side + grow  # f at 0, pi/2; pi, 3 pi/2; and >= 0
+    x, y = (side.max() - cut) * _HALF_TURN  # L e^{it}: y >= -cut >= -yn
+    k = np.flatnonzero((-xn <= x) & (x <= xh) & (y <= yh)
+                       | (-xh <= x) & (x <= xn) & (y <= yn))
+    vals = _scan(h, g, m, k)
     pick = np.flatnonzero((vals >= np.roll(vals, 1))
                           & (vals >= np.roll(vals, -1))
                           & (vals / math.cos(math.pi / m) + cut > vals.max()))
-    return max(float(vals.max()), _newton_max(h, g, vals, pick, cut))
+    return s * max(float(vals.max()), _newton_max(h, g, vals, pick, cut))
 
 
 def boundary_points(t, m) -> list[BoundarySample]:

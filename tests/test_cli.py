@@ -191,6 +191,18 @@ def test_sector_and_sector_angle(tmp_path, capsys):
     assert json.loads(out)["alpha"] == pytest.approx(math.pi / 4, abs=1e-9)
 
 
+@pytest.mark.parametrize("alpha", ["-0.0", "-1e-13"])
+def test_sector_prints_the_angle_it_tested(tmp_path, capsys, alpha):
+    # both read as alpha = 0, the half line, which is what the output must
+    # say: not -0, and not the -1e-13 that was given (argparse takes
+    # "-1e-13" for an option unless it follows "=")
+    path = tmp_path / "i.json"
+    path.write_text(to_json(matrix_document(np.eye(3))))
+    code, out, _ = run_cli(capsys, ["sector", "--in", str(path),
+                                    "--alpha=" + alpha])
+    assert code == 0 and out == '{"alpha": 0, "contained": true}\n'
+
+
 def test_sector_angle_null_for_non_accretive(tmp_path, capsys):
     path = tmp_path / "m.json"
     path.write_text(SHIFT_DOC)

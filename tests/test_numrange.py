@@ -13,6 +13,7 @@ from helpers import (EXTREME_BINADES, POWERS_OF_TWO, PROPERTY, SEEDS,
                      clustered_normal, complex_gaussian, direct_sum, philox,
                      random_unitary, sectorial_sample, to_binade)
 from sector_radius import numrange, tolerances
+from sector_radius.matcore import scaled_square_matrix
 from sector_radius.numrange import _PENCIL_ENTRIES, _support_values
 
 
@@ -37,6 +38,29 @@ def counting_sweeps(monkeypatch):
 
     monkeypatch.setattr(numrange, "_pencils", counting)
     return sweeps
+
+
+def scan_and_newton(sweeps):
+    """The sweeps of one recorded radius after its first, the support call
+    at 0 and pi/2 that reads the Bendixson rectangle (none at n <= 2)."""
+    if sweeps:
+        assert sweeps[0].tolist() == [0.0, math.pi / 2]
+    return sweeps[1:]
+
+
+def full_scan_radius(t):
+    """`numerical_radius` at n >= 3 with every pencil of the scan solved:
+    `_scan` on all 512 half-turn angles and `_newton_max` from the peaks
+    its sublinear bound keeps."""
+    t, s = scaled_square_matrix(t)
+    h, g = sr.cartesian_decompose(t)
+    m = tolerances.RADIUS_GRID_POINTS
+    vals = numrange._scan(h, g, m, np.arange(m // 2))
+    cut = t.shape[0] * np.finfo(float).eps * np.linalg.norm(t)
+    pick = np.flatnonzero((vals >= np.roll(vals, 1))
+                          & (vals >= np.roll(vals, -1))
+                          & (vals / math.cos(math.pi / m) + cut > vals.max()))
+    return s * max(vals.max(), numrange._newton_max(h, g, vals, pick, cut))
 
 
 def valued_grid_indices(monkeypatch, points):
@@ -139,11 +163,13 @@ class TestNewtonRefinement:
                                            (6, 1), (2, 2), (3, 2)],
                              ids=["2", "3", "4", "5", "6", "kron-2", "kron-3"])
     def test_few_sweeps(self, n, copies, monkeypatch):
-        # one sweep of the 1024-angle scan, then one per Newton step: at
-        # most 3 from the parabola vertex, 4 from the grid angle; the
-        # golden section took 49.  kron(I, A) ties every eigenvalue, yet f
-        # is smooth there, so Newton must not fall back to bisection.  A
-        # 2x2 matrix takes no sweep: its radius is read off the ellipse
+        # after the rectangle's support call and the 1024-angle scan, one
+        # sweep per Newton step: at most 2 from the parabola vertex once a
+        # step's predicted rise is an ulp, 3 without that stop, 4 from the
+        # grid angle; the golden section took 49.  kron(I, A) ties every
+        # eigenvalue, yet f is smooth there, so Newton must not fall back
+        # to bisection.  A 2x2 matrix takes no sweep: its radius is read
+        # off the ellipse
         sweeps = counting_sweeps(monkeypatch)
         for seed in range(5):
             sweeps.clear()
@@ -152,7 +178,7 @@ class TestNewtonRefinement:
             if n * copies == 2:
                 assert len(sweeps) == 0
             else:
-                assert len(sweeps) <= 1 + 3
+                assert len(scan_and_newton(sweeps)) <= 1 + 2
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("t, w", [
@@ -174,7 +200,7 @@ class TestNewtonRefinement:
         # each after one sweep, where bisection took 33
         sweeps = counting_sweeps(monkeypatch)
         assert sr.numerical_radius(t) == pytest.approx(w, rel=1e-14, abs=0.0)
-        assert len(sweeps) <= 2
+        assert len(scan_and_newton(sweeps)) <= 2
 
     def test_decoy_between_scan_angles(self):
         # the true peak's neighbours read 1 - 4.7e-6, under twelve decoys of
@@ -192,7 +218,7 @@ class TestNewtonRefinement:
         t = u @ np.diag(np.r_[lam, 0.1]) @ u.conj().T
         sweeps = counting_sweeps(monkeypatch)
         assert sr.numerical_radius(t) == pytest.approx(1.0, rel=1e-15, abs=0.0)
-        assert len(sweeps) <= 6
+        assert len(scan_and_newton(sweeps)) <= 6
 
     def test_two_maxima_in_one_bracket(self):
         # maxima 0.2 and 0.3 steps either side of a kinked grid angle; the
@@ -221,8 +247,9 @@ class TestNewtonRefinement:
                              ids=["one-side", "both-sides"])
     def test_cone_edge_peak_starts_on_its_grid_angle(self, solved,
                                                      monkeypatch):
-        # a sector scan leaves the angles past its cone at -inf; a peak on
-        # the cone's edge has no parabola, so Newton starts on its grid angle
+        # the scan leaves the angles outside its window at -inf; a peak on
+        # the window's edge has no parabola, so Newton starts on its grid
+        # angle
         m = tolerances.RADIUS_GRID_POINTS
         step = 2 * math.pi / m
         h, g = sr.cartesian_decompose(np.diag([np.exp(3.4j * step), 0.5, 0.2]))
@@ -239,38 +266,41 @@ class TestNewtonRefinement:
         sweeps = counting_sweeps(monkeypatch)
         sr.numerical_radius(t)
         step = 2 * math.pi / tolerances.RADIUS_GRID_POINTS
-        off = sweeps[1] / step - np.rint(sweeps[1] / step)
+        start = scan_and_newton(sweeps)[1]
+        off = start / step - np.rint(start / step)
         assert np.all(np.abs(off) <= 0.5) and np.any(off != 0.0)
 
 
 class TestHalfTurnScan:
-    """The scan reads f(t + pi) as -lambda_min at t, so it solves half of
-    its grid's pencils."""
+    """The scan reads f(t + pi) as -lambda_min at t, so it solves at most
+    half of its grid's pencils: those whose angle t or t + pi can hold the
+    point of largest modulus inside the Bendixson rectangle."""
 
     def test_grid_points_even(self):
         # the values at t + pi must land on grid angles
         assert tolerances.RADIUS_GRID_POINTS % 2 == 0
 
     def test_scan_solves_half_the_grid(self, monkeypatch):
-        # a Gaussian lies in no sector, so its scan keeps every angle
-        t = complex_gaussian((4, 4), philox(4))
-        assert sr.min_sector_angle(t) is None
+        # W of the 3x3 Jordan block is a disk centred at 0, which reaches
+        # its radius in every direction, so the scan keeps every pencil
         sweeps = counting_sweeps(monkeypatch)
-        sr.numerical_radius(t)
-        assert sweeps[0].size == tolerances.RADIUS_GRID_POINTS // 2
+        sr.numerical_radius(np.diag([1.0, 1.0], k=1))
+        assert (scan_and_newton(sweeps)[0].size
+                == tolerances.RADIUS_GRID_POINTS // 2)
 
-    def test_sector_scan_solves_its_cone(self, monkeypatch):
-        # the pencils whose angle t, or t + pi, lies within alpha + 2 steps
-        # of 0: 2 floor(m alpha / (2 pi) + 2) + 1 of them
+    def test_thin_rectangle_solves_its_window(self, monkeypatch):
+        # spec(H) = {3, 1, -1} and |G| <= 1e-6: L = 3 - cut is reached only
+        # within 2 steps of angle 0, and the 0.5-step margin adds none, so
+        # the pencils k = 0, 1, 2, 510 and 511
         u = random_unitary(3, philox(6))
-        t = u.conj().T @ direct_sum(sr.extremal_2x2(math.pi / 6),
-                                    np.eye(1) / 2) @ u
-        alpha = sr.min_sector_angle(t)
-        assert alpha == pytest.approx(math.pi / 6, abs=1e-9)
+        g = complex_gaussian((3, 3), philox(7))
+        h = u @ np.diag([3.0, 1.0, -1.0]) @ u.conj().T
+        t = h + 1e-7j * (g + g.conj().T)
         sweeps = counting_sweeps(monkeypatch)
         sr.numerical_radius(t)
         m = tolerances.RADIUS_GRID_POINTS
-        assert m * alpha / math.pi < sweeps[0].size <= m * alpha / math.pi + 5
+        assert np.rint(scan_and_newton(sweeps)[0] * m / (2 * math.pi)).tolist(
+            ) == [0, 1, 2, 510, 511]
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_zero_radius_is_positive_zero(self, n):
@@ -937,21 +967,21 @@ class TestRadiusProperties:
             sr.numerical_radius(t), rel=1e-13)
 
 
-class TestSectorCone:
-    """Inside a sector of half-angle alpha the radius scans only the angles
-    within alpha + 2 steps of 0.  -T lies in no sector, so its radius scans
-    every angle, and the two must agree."""
+def check_against_full_scan(t):
+    assert sr.numerical_radius(t) == pytest.approx(full_scan_radius(t),
+                                                   rel=1e-13, abs=0.0)
 
-    @staticmethod
-    def check_against_full_scan(t):
-        assert sr.min_sector_angle(-t) is None
-        assert sr.numerical_radius(t) == pytest.approx(
-            sr.numerical_radius(-t), rel=1e-13)
+
+class TestSectorCone:
+    """W(T) inside the sector of half-angle alpha puts the Bendixson
+    rectangle in Re z >= 0 with |Im z| <= tan(alpha) max Re z, so the scan's
+    window lies in the cone |sin t| <= tan(alpha) about 0, plus its margin;
+    the radius must equal that of the full 512-pencil scan."""
 
     @PROPERTY
     @given(SEEDS, st.integers(3, 8), st.floats(0.0, math.pi / 2 - 1e-8))
     def test_sectorial_samples(self, seed, n, alpha):
-        self.check_against_full_scan(sectorial_sample(n, alpha, philox(seed)))
+        check_against_full_scan(sectorial_sample(n, alpha, philox(seed)))
 
     @PROPERTY
     @given(SEEDS, st.sampled_from([0.01, math.pi / 6, math.pi / 3,
@@ -964,7 +994,7 @@ class TestSectorCone:
         lam = rng.uniform(0.0, 1.1, m) * np.exp(
             1j * rng.uniform(-alpha, alpha, m))
         u = random_unitary(m + 2, rng)
-        self.check_against_full_scan(
+        check_against_full_scan(
             u.conj().T @ direct_sum(sr.extremal_2x2(alpha), np.diag(lam)) @ u)
 
     @PROPERTY
@@ -972,7 +1002,7 @@ class TestSectorCone:
     def test_clustered_normal(self, seed, center):
         rng = philox(seed)
         t, _ = clustered_normal(int(rng.integers(3, 9)), center, rng)
-        self.check_against_full_scan(t)
+        check_against_full_scan(t)
 
     @pytest.mark.parametrize("t", [
         np.array([[2.0, 1j, 0.0], [-1j, 1.0, 0.0], [0.0, 0.0, 0.0]]),
@@ -982,18 +1012,77 @@ class TestSectorCone:
         # the zero 3x3, whose negation lies in a sector too, is
         # TestHalfTurnScan.test_zero_radius_is_positive_zero's
         assert sr.min_sector_angle(t) == 0.0
-        self.check_against_full_scan(t)
+        check_against_full_scan(t)
 
     def test_negative_hermitian_part_inside_the_slack(self):
         # lambda_min(H) = -3e-11 lies above -PSD_RTOL ||T||_F, so W(T)
-        # pokes out of the sector that min_sector_angle reads
+        # pokes out of the sector that min_sector_angle reads, and the
+        # rectangle crosses the imaginary axis
         u = random_unitary(3, philox(9))
         t = direct_sum(np.array([[-3e-11]]), sr.extremal_2x2(0.6))
         t = u.conj().T @ t @ u
         lo = np.linalg.eigvalsh(sr.cartesian_decompose(t)[0])[0]
         assert -tolerances.PSD_RTOL * np.linalg.norm(t) < lo < 0.0
         assert sr.min_sector_angle(t) == pytest.approx(0.6, abs=1e-9)
-        self.check_against_full_scan(t)
+        check_against_full_scan(t)
+
+
+class TestScanWindow:
+    """The scan solves only the pencils whose angle can hold the point of
+    largest modulus inside the Bendixson rectangle, grown to contain 0, for
+    every T: the radius must equal that of the full 512-pencil scan."""
+
+    @PROPERTY
+    @given(SEEDS, st.integers(3, 8))
+    def test_gaussians(self, seed, n):
+        check_against_full_scan(complex_gaussian((n, n), philox(seed)))
+
+    @PROPERTY
+    @given(SEEDS, st.integers(3, 8), st.floats(0.0, 3.0),
+           st.floats(0.0, 2 * math.pi), st.floats(1e-3, 1.0))
+    def test_shifted_gaussians(self, seed, n, r, phi, spread):
+        # r e^{i phi} I plus a Gaussian of about that spread: the rectangle
+        # misses 0 once r exceeds the spread, and must be grown to hold it
+        t = spread * complex_gaussian((n, n), philox(seed)) / math.sqrt(n)
+        check_against_full_scan(t + r * np.exp(1j * phi) * np.eye(n))
+
+    @PROPERTY
+    @given(SEEDS, st.integers(3, 8))
+    def test_near_hermitian(self, seed, n):
+        # a rectangle 1e-6 thin, whose window is a few steps wide
+        rng = philox(seed)
+        a, b = complex_gaussian((n, n), rng), complex_gaussian((n, n), rng)
+        check_against_full_scan(a + a.conj().T + 1e-6j * (b + b.conj().T))
+
+    @PROPERTY
+    @given(SEEDS, st.integers(3, 8), st.floats(1e-9, 1e-2),
+           st.integers(0, 3))
+    def test_normal_poking_out_of_the_circle(self, seed, n, gap, quadrant):
+        # eigenvalues a, iy on the rectangle's two far sides set L = max(a, y)
+        # and one of modulus L (1 + gap) between them, towards the corner
+        # (a, y): w = L (1 + gap) at an angle only the window's corner holds
+        rng = philox(seed)
+        a, y = rng.uniform(0.5, 1.5, 2)
+        r = max(a, y) * (1.0 + gap)
+        lo, hi = math.acos(a / r), math.asin(y / r)
+        lam = rng.uniform(0.0, 0.9 * min(a, y), n) * np.exp(
+            1j * rng.uniform(0.0, 2 * math.pi, n))
+        lam[:3] = a, 1j * y, r * np.exp(1j * rng.uniform(lo, hi))
+        u = random_unitary(n, rng)
+        check_against_full_scan(1j ** quadrant * u @ np.diag(lam) @ u.conj().T)
+
+    @pytest.mark.parametrize("t", [np.zeros((3, 3)), np.eye(3)],
+                             ids=["zero", "identity"])
+    def test_zero_and_identity(self, t):
+        check_against_full_scan(t)
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_reads_no_sector_angle(self, n, monkeypatch):
+        # the window needs no sector, so the radius never solves for one
+        calls = []
+        monkeypatch.setattr(numrange, "min_sector_angle", calls.append)
+        sr.numerical_radius(sectorial_sample(n, 0.5, philox(n)))
+        assert calls == []
 
 
 def sectorial(seed, n=None):
