@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -194,13 +195,63 @@ def test_sector_and_sector_angle(tmp_path, capsys):
 @pytest.mark.parametrize("alpha", ["-0.0", "-1e-13"])
 def test_sector_prints_the_angle_it_tested(tmp_path, capsys, alpha):
     # both read as alpha = 0, the half line, which is what the output must
-    # say: not -0, and not the -1e-13 that was given (argparse takes
-    # "-1e-13" for an option unless it follows "=")
+    # say: not -0, and not the -1e-13 that was given, whether the value
+    # follows "=" or a space
     path = tmp_path / "i.json"
     path.write_text(to_json(matrix_document(np.eye(3))))
-    code, out, _ = run_cli(capsys, ["sector", "--in", str(path),
-                                    "--alpha=" + alpha])
-    assert code == 0 and out == '{"alpha": 0, "contained": true}\n'
+    for option in (["--alpha=" + alpha], ["--alpha", alpha]):
+        code, out, _ = run_cli(capsys, ["sector", "--in", str(path), *option])
+        assert code == 0 and out == '{"alpha": 0, "contained": true}\n'
+
+
+# a valid call of every subcommand, naming each of its options in order
+CALLS = {
+    "radius": ["--in", "M"],
+    "norm": ["--in", "M"],
+    "ratio": ["--in", "M"],
+    "sector": ["--in", "M", "--alpha", "0.5"],
+    "sector-angle": ["--in", "M"],
+    "boundary": ["--in", "M", "--m", "4", "--out", "-"],
+    "ellipse": ["--in", "M"],
+    "extremal": ["--alpha", "0.5", "--out", "-"],
+    "canonical-b": ["--alpha", "0.5", "--out", "-"],
+    "r-family": ["--r", "1.5", "--theta", "0.2", "--alpha", "0.5",
+                 "--out", "-"],
+    "three-by-three": ["--d", "0.1", "--b1", "0.05", "--b2", "0",
+                       "--out", "-"],
+    "irreducible": ["--n", "4", "--d", "0.1", "--eps", "0.01", "--out", "-"],
+    "canonical-family": ["--in", "M", "--alpha", "0.5"],
+    "certify": ["--in", "M", "--alpha", "0.5", "--tol", "1e-7"],
+    "verify": ["--seed", "0"],
+}
+NOT_FLOAT = {"--in", "--out", "--m", "--n", "--seed"}
+FLOAT_OPTIONS = [(command, option) for command, argv in CALLS.items()
+                 for option in argv[::2] if option not in NOT_FLOAT]
+
+
+@pytest.mark.parametrize("command", CALLS)
+def test_help_names_every_option(capsys, command):
+    code, out, _ = run_cli(capsys, [command, "--help"])
+    assert code == 0
+    named = list(dict.fromkeys(re.findall(r"--[a-z][a-z0-9-]*", out)))
+    assert named == CALLS[command][::2] + ["--help"]
+
+
+@pytest.mark.parametrize("value", ["-1e-13", "-2.5E+3", "-inf"])
+@pytest.mark.parametrize("command, option", FLOAT_OPTIONS,
+                         ids=[f"{c}{o}" for c, o in FLOAT_OPTIONS])
+def test_negative_value_after_space(tmp_path, capsys, command, option,
+                                    value):
+    # argparse's own negative-number test misses exponents and inf, so
+    # "--alpha -1e-13" once failed with "expected one argument"
+    path = tmp_path / "m.json"
+    path.write_text(to_json(matrix_document([[1.0, 0.5], [0.0, 2.0]])))
+    argv = [command] + [str(path) if a == "M" else a for a in CALLS[command]]
+    at = argv.index(option) + 1
+    spaced = run_cli(capsys, argv[:at] + [value] + argv[at + 1:])
+    joined = run_cli(capsys, argv[:at - 1] + [f"{option}={value}"]
+                     + argv[at + 1:])
+    assert spaced == joined
 
 
 def test_sector_angle_null_for_non_accretive(tmp_path, capsys):

@@ -888,10 +888,11 @@ class TestMinSectorAngle:
     @given(SEEDS, st.floats(0.01, math.pi / 2 - 1e-3), st.booleans())
     def test_family_members_consistent_with_sector_contains(self, seed, alpha,
                                                             tail):
-        # the radius scans only the sector min_sector_angle reads.  Near
-        # pi/2 the sector test's PSD_RTOL cut still forgives a step of
-        # 1e-6 below alpha (the member at pi/2 - 8.71e-6 stays inside at
-        # alpha - 8e-6), so alpha stays 1e-3 away from it
+        # the angle min_sector_angle returns passes sector_contains and
+        # 1e-6 less fails.  Near pi/2 the sector test's PSD_RTOL cut still
+        # forgives a step of 1e-6 below alpha (the member at
+        # pi/2 - 8.71e-6 stays inside at alpha - 8e-6), so alpha stays 1e-3
+        # away from it
         rng = philox(seed)
         t = sr.r_alpha_matrix(rng.uniform(1.0, 3.0), rng.uniform(0.0, alpha),
                               alpha)
