@@ -39,9 +39,9 @@ def scaled_square_matrix(a) -> tuple[np.ndarray, float]:
     than the largest, which round to subnormals), so a routine whose answer
     is invariant under T -> cT reads it from the scaled matrix, and one
     that returns a magnitude multiplies it back by the scale.  The largest
-    entry modulus of the result lies in [1, 2), so products of its entries
-    and its Frobenius norm, which every relative cut is taken against,
-    neither under- nor overflow.
+    part |Re| or |Im| of an entry of the result lies in [1, 2), so products
+    of its entries and its Frobenius norm, which every relative cut is
+    taken against, neither under- nor overflow.
     """
     arr = as_square_matrix(a)
     s = binary_scale(arr)
@@ -52,11 +52,12 @@ def scaled_square_matrix(a) -> tuple[np.ndarray, float]:
 def binary_scale(a: np.ndarray) -> float:
     """Power of two to divide ``a`` by before a closed form multiplies entries.
 
-    The largest normal power of two not above the largest entry modulus,
-    so the quotient's squares and products of entries stay normal and
-    finite down to 2^-511 of the largest.  Dividing by it is exact.
+    The largest normal power of two not above the largest |Re| or |Im| of an
+    entry (|1.7e308 (1 + i)| overflows), so the quotient's squares and
+    products stay normal down to 2^-511 of the largest.  Dividing is exact.
     """
-    e = math.frexp(float(np.abs(a).max()))[1]
+    parts = np.asarray(a, dtype=np.complex128).reshape(-1).view(np.float64)
+    e = math.frexp(float(np.abs(parts).max()))[1]
     return math.ldexp(1.0, max(e - 1, -1022))
 
 

@@ -60,18 +60,16 @@ _HALF_TURN = np.exp(2j * math.pi / tol.RADIUS_GRID_POINTS * np.arange(
 
 def _pencils(h: np.ndarray, g: np.ndarray, thetas: np.ndarray):
     """Yield (slice, cos(t) H + sin(t) G for the angles of that slice) over
-    `thetas`, at most ``_PENCIL_ENTRIES`` entries at a time.  Every pencil
-    is a view into one buffer that the next slice overwrites; the buffer
-    holds the angle axis last, so each product runs along a contiguous row
-    even when n is 2."""
+    `thetas`, at most ``_PENCIL_ENTRIES`` entries at a time, as views into
+    the first slice's two products, which each later slice overwrites.  The
+    angle axis is last, so each product runs along a contiguous row."""
     step = max(1, _PENCIL_ENTRIES // h.size)
-    buf = np.empty(h.shape + (min(step, thetas.size),), dtype=np.complex128)
-    tmp = np.empty_like(buf)
+    h, g, p, q = h[:, :, None], g[:, :, None], None, None
     for lo in range(0, thetas.size, step):
         th = thetas[lo:lo + step]
-        p, q = buf[..., :th.size], tmp[..., :th.size]
-        np.multiply(h[:, :, None], np.cos(th), out=p)
-        np.multiply(g[:, :, None], np.sin(th), out=q)
+        p, q = (p, q) if p is None else (p[..., :th.size], q[..., :th.size])
+        p = np.multiply(h, np.cos(th), out=p)
+        q = np.multiply(g, np.sin(th), out=q)
         yield slice(lo, lo + th.size), np.add(p, q, out=p).transpose(2, 0, 1)
 
 
@@ -123,8 +121,7 @@ def _boundary_samples(t: np.ndarray, s: float,
     out: list[BoundarySample] = []
     for sl, p in _pencils(h, g, thetas):
         w, v = np.linalg.eigh(p)
-        top = v[..., -1]
-        pts = np.einsum("ki,ij,kj->k", top.conj(), t, top)
+        pts = np.einsum("ki,ij,kj->k", v[..., -1].conj(), t, v[..., -1])
         out.extend(BoundarySample(float(a), s * float(b),
                                   complex(s * z.real, s * z.imag))
                    for a, b, z in zip(thetas[sl], w[:, -1], pts.tolist()))
@@ -135,46 +132,46 @@ def _newton_max(h: np.ndarray, g: np.ndarray, vals: np.ndarray,
                 k: np.ndarray, cut: float) -> float:
     """Largest support value met by safeguarded Newton ascent from the
     peaks k of the scan `vals` (step h = 2 pi / vals.size) in brackets
-    [h (k - 1), h (k + 1)], all in one batch, each started at the vertex of
-    the parabola through f_{k-1}, f_k and f_{k+1}: within h / 2 of h k, as
-    f_k is a local maximum, and at h k if a neighbour is off the scan's
-    window (-inf).  f' = v* P' v and f'' = -f + 2 sum_j |u_j* P' v|^2 /
-    (f - l_j) for the eigenpairs (l_j, u_j) of P = cos(t) H + sin(t) G, the
-    top one (f, v), summed over the l_j outside the top cluster f - l_j <=
-    `cut`.  Brackets shrink by the sign of f', which a step with f'' < 0
-    follows; f'' >= 0 or a step over half the bracket bisects.  f'' + f >= 0
-    as a measure, so every kink of f is a convex corner and no maximum sits
-    at one.  A bracket stops once that step is <= RADIUS_THETA_TOL, |f'| <=
-    `cut` (the noise peaks of a flat f, in one sweep) or the step's rise
-    f'^2 / -f'' <= 2 eps |f|: the next sweep would gain an ulp at most."""
+    [h (k - 1), h (k + 1)], each started at the vertex of the parabola
+    through f_{k-1}, f_k and f_{k+1} (at h k if a neighbour is -inf, off
+    the scan's window).  f' = v* P' v and f'' = -f + 2 sum_j |u_j* P' v|^2
+    / (f - l_j) over the eigenpairs (l_j, u_j) of P = cos(t) H + sin(t) G
+    outside the top cluster f - l_j <= `cut` of the top one (f, v).
+    Brackets shrink by the sign of f', which a step with f'' < 0 follows;
+    f'' >= 0 or a step over half the bracket bisects (f'' + f >= 0 as a
+    measure: a kink is a convex corner, never a maximum).  A bracket stops
+    once that step is <= RADIUS_THETA_TOL, |f'| <= `cut` (the noise peaks of
+    a flat f, in one sweep) or its rise f'^2 / -f'' <= 2 eps |f|.  A sweep:
+    one batched `eigh`, a dozen array operations, the rule on floats."""
     step = 2.0 * math.pi / vals.size
-    rise = vals[k] - np.array([vals[k - 1], vals[(k + 1) % vals.size]])
-    rise[:, np.isinf(rise).any(axis=0)] = 0.0  # both >= 0; no inf - inf
-    x, both = step * k, rise.sum(axis=0)
-    a, b, best = x - step, x + step, -math.inf
-    x = x + step * np.divide(rise[0] - rise[1], 2.0 * both,
-                             out=np.zeros(k.shape), where=both > 0.0)
-    while x.size:
-        f, d1, d2 = np.empty(x.shape), np.empty(x.shape), np.empty(x.shape)
-        for sl, p in _pencils(h, g, x):
+    rise = vals[k] - vals[k + np.array([[-1], [1 - vals.size]])]  # >= 0
+    rise[:, np.isinf(rise).any(axis=0)] = 0.0  # off the window: no inf - inf
+    (r0, r1), x, best = rise, step * k, -math.inf
+    vertex = np.divide(r0 - r1, 2 * (r0 + r1), out=0 * x, where=r0 + r1 > 0)
+    th = x + step * vertex  # the first sweep's angles
+    brackets = list(zip(th.tolist(), (x - step).tolist(), (x + step).tolist()))
+    while brackets:
+        cs, sn, f, f1, f2 = np.cos(th), np.sin(th), [], [], []  # f, f', f''
+        for sl, p in _pencils(h, g, th):
             w, u = np.linalg.eigh(p)
-            cs, sn = np.cos(x[sl])[:, None], np.sin(x[sl])[:, None]
-            dv = u[..., -1] @ g.T * cs - u[..., -1] @ h.T * sn
-            c = np.einsum("kji,kj->ki", u.conj(), dv)
-            f[sl], d1[sl] = w[:, -1], c[:, -1].real
-            gap = w[:, -1:] - w[:, :-1]
-            apart = gap > cut
-            mag = np.abs(c[:, :-1])  # (|c| / gap) |c| cannot overflow
-            ratio = np.divide(mag, gap, out=np.zeros(gap.shape), where=apart)
-            d2[sl] = 2.0 * (ratio * mag).sum(axis=1) - w[:, -1]
-        best = max(best, float(f.max()))
-        a, b = np.where(d1 >= 0.0, x, a), np.where(d1 >= 0.0, b, x)
-        d = np.divide(-d1, d2, out=np.full(x.shape, np.inf), where=d2 < 0.0)
-        x = np.where(2.0 * np.abs(d) <= b - a, x + d, (a + b) / 2.0)
-        live = ((np.minimum(np.abs(d), (b - a) / 2.0) > tol.RADIUS_THETA_TOL)
-                & (np.abs(d1) > cut) & (d1 * d1 > 2.0 * np.finfo(float).eps
-                                        * np.abs(f) * np.maximum(-d2, 0.0)))
-        x, a, b = x[live], a[live], b[live]
+            c = np.einsum("kji,kj->ki", u.conj(), u[..., -1] @ g.T
+                          * cs[sl, None] - u[..., -1] @ h.T * sn[sl, None])
+            gap, mag = w[:, -1:] - w[:, :-1], np.abs(c[:, :-1])
+            r = np.divide(mag, gap, out=np.zeros(gap.shape), where=gap > cut)
+            f += w[:, -1].tolist()  # c_j = u_j* P' v; f'' sums (|c| / gap)
+            f1 += c[:, -1].real.tolist()  # |c|, which cannot overflow
+            f2 += (2.0 * (r * mag).sum(axis=1) - w[:, -1]).tolist()
+        best, live = max(best, *f), []
+        for (x, a, b), fx, d1, d2 in zip(brackets, f, f1, f2):
+            if abs(d1) <= cut:  # a flat f's noise peaks end here, at once
+                continue
+            a, b = (x, b) if d1 >= 0.0 else (a, x)
+            d = -d1 / d2 if d2 < 0.0 else math.inf
+            if (min(abs(d), (b - a) / 2.0) > tol.RADIUS_THETA_TOL
+                    and d1 * d1 > 2 * math.ulp(1.0) * abs(fx) * max(-d2, 0)):
+                live.append((x + d if 2 * abs(d) <= b - a else (a + b) / 2,
+                             a, b))
+        brackets, th = live, np.array([x for x, _, _ in live])
     return best
 
 
@@ -187,15 +184,25 @@ def _scan(h: np.ndarray, g: np.ndarray, m: int, k: np.ndarray) -> np.ndarray:
     return vals
 
 
+def _scan_peaks(vals: np.ndarray, k: np.ndarray, cut: float) -> np.ndarray:
+    """Ascending local maxima j of `_scan`'s solved entries k, k + m / 2 with
+    f_j / cos(pi / m) + cut > max f; neighbours wrap mod m = vals.size."""
+    j = np.concatenate((k, k + vals.size // 2))
+    f = vals[j]
+    return j[(f >= vals[j - 1]) & (f >= vals[j + 1 - vals.size])
+             & (f / math.cos(math.pi / vals.size) + cut > f.max())]
+
+
 def numerical_radius(t) -> float:
     """Numerical radius w(T), the largest support value of W(T).  n = 2:
     max |p + a cos(f) + i (q + b sin(f))| over the ellipse of `_ellipse_axes`
     turned by u, a = hypot(|d|, b), p = |Re cu|, q = |Im cu| (a reflection),
     at f = 0, pi/2 and the roots of the quartic in tan(f / 2) b q cos(f) -
     a p sin(f) = |d|^2 sin(f) cos(f).  n >= 3: the best value of a 1024-angle
-    scan (`_scan`) and of Newton ascent (`_newton_max`) from each peak f_k
-    whose sublinear bound f_k / cos(pi / 1024) (see `grid_radius`) plus cut
-    = n eps ||T||_F beats the scan.  L <= w, the largest support value of the
+    scan (`_scan`) and of Newton ascent (`_newton_max`, one batched `eigh` a
+    sweep) from each peak f_k of the solved entries (`_scan_peaks`) whose
+    sublinear bound f_k / cos(pi / 1024) (see `grid_radius`) plus cut = n
+    eps ||T||_F beats the scan.  L <= w, the largest support value of the
     Bendixson rectangle spec(H) x spec(G) less cut, puts L e^{i arg z} (|z| =
     w = f(arg z)) in that rectangle grown to hold 0; the scan solves only the
     pencils whose t or t + pi puts L e^{it} in it when grown by cut + 2.5
@@ -222,10 +229,8 @@ def numerical_radius(t) -> float:
     k = np.flatnonzero((-xn <= x) & (x <= xh) & (y <= yh)
                        | (-xh <= x) & (x <= xn) & (y <= yn))
     vals = _scan(h, g, m, k)
-    pick = np.flatnonzero((vals >= np.roll(vals, 1))
-                          & (vals >= np.roll(vals, -1))
-                          & (vals / math.cos(math.pi / m) + cut > vals.max()))
-    return s * max(float(vals.max()), _newton_max(h, g, vals, pick, cut))
+    return s * max(float(vals.max()),
+                   _newton_max(h, g, vals, _scan_peaks(vals, k, cut), cut))
 
 
 def boundary_points(t, m) -> list[BoundarySample]:
@@ -270,9 +275,7 @@ class EllipseDescriptor:
     def axis_phase(self) -> float:
         """Direction of the major axis (0 when the foci coincide)."""
         diff = self.focus2 - self.focus1
-        if abs(diff) == 0.0:
-            return 0.0
-        return math.atan2(diff.imag, diff.real)
+        return math.atan2(diff.imag, diff.real) if diff else 0.0
 
 
 def _ellipse_axes(t: np.ndarray) -> tuple[complex, complex, complex, float]:
@@ -314,14 +317,11 @@ def ellipse_support_point(desc: EllipseDescriptor, theta: float) -> complex:
     if not math.isfinite(theta):
         raise ParameterError(f"support direction must be finite, got {theta}")
     s = binary_scale(desc.semi_major)
-    a = desc.semi_major / s
-    b = desc.semi_minor / s
+    a, b = desc.semi_major / s, desc.semi_minor / s
     if a == 0.0:
         return desc.center
     psi = desc.axis_phase
-    delta = theta - psi
-    nx = math.cos(delta)
-    ny = math.sin(delta)
+    nx, ny = math.cos(theta - psi), math.sin(theta - psi)
     hnorm = math.hypot(a * nx, b * ny)
     local = complex(a * a * nx / hnorm, b * b * ny / hnorm) * s
     return desc.center + complex(math.cos(psi), math.sin(psi)) * local
@@ -340,9 +340,8 @@ def sector_contains(t, alpha) -> bool:
     t, _ = scaled_square_matrix(t)
     alpha = validate_sector_angle(alpha)
     h, g = cartesian_decompose(t)
-    normals = np.array([HALF_PI + alpha, -HALF_PI - alpha, math.pi])
-    return bool(_support_values(h, g, normals)[0].max()
-                <= tol.PSD_RTOL * float(np.linalg.norm(t)))
+    top = _support_values(h, g, [HALF_PI + alpha, -HALF_PI - alpha, math.pi])
+    return bool(top[0].max() <= tol.PSD_RTOL * float(np.linalg.norm(t)))
 
 
 def min_sector_angle(t) -> float | None:

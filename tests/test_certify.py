@@ -498,6 +498,23 @@ class TestSectorLayerInvariance:
         assert res2.bound == pytest.approx(res.bound, rel=1e-12)
         assert res2.ok is res.ok
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("t", [
+        [[1.7e308 * (1 + 1j)]],
+        np.diag([1.7e308 * (1 + 1j), 3e307 * (2 - 1j)]),
+    ], ids=["1x1", "2x2"])
+    def test_modulus_overflow_with_finite_parts(self, t):
+        # |1.7e308 (1 + i)| overflows while both parts are finite: the
+        # entry scale comes from the parts, so T reads exactly as T / 2
+        t = np.asarray(t)
+        alpha = math.pi / 4
+        for answer in (sr.min_sector_angle, sr.ratio_check,
+                       lambda a: sr.sector_contains(a, alpha),
+                       lambda a: sr.certify_extremal(a, alpha)):
+            assert answer(t) == answer(t / 2)
+        assert sr.min_sector_angle(t) == pytest.approx(alpha, rel=1e-15)
+        assert sr.ratio_check(t).ratio == pytest.approx(1.0, rel=1e-15)
+
     @PROPERTY
     @given(SEEDS, SECTOR_ANGLES, SEEDS)
     def test_certify_unitary_similarity(self, seed, alpha, useed):

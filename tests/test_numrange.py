@@ -13,7 +13,6 @@ from helpers import (EXTREME_BINADES, POWERS_OF_TWO, PROPERTY, SEEDS,
                      clustered_normal, complex_gaussian, direct_sum, philox,
                      random_unitary, sectorial_sample, to_binade)
 from sector_radius import numrange, tolerances
-from sector_radius.matcore import scaled_square_matrix
 from sector_radius.numrange import _PENCIL_ENTRIES, _support_values
 
 
@@ -49,18 +48,58 @@ def scan_and_newton(sweeps):
 
 
 def full_scan_radius(t):
-    """`numerical_radius` at n >= 3 with every pencil of the scan solved:
-    `_scan` on all 512 half-turn angles and `_newton_max` from the peaks
-    its sublinear bound keeps."""
-    t, s = scaled_square_matrix(t)
-    h, g = sr.cartesian_decompose(t)
-    m = tolerances.RADIUS_GRID_POINTS
-    vals = numrange._scan(h, g, m, np.arange(m // 2))
-    cut = t.shape[0] * np.finfo(float).eps * np.linalg.norm(t)
-    pick = np.flatnonzero((vals >= np.roll(vals, 1))
+    """w(T) at n >= 3 with nothing skipped and no code of the library's:
+    `eigvalsh` at all 1024 scan angles, then a plain safeguarded Newton
+    ascent on f(t) = l_max(cos(t) H + sin(t) G) from every scan peak f_k
+    with f_k / cos(pi / 1024) + n eps ||T||_F > max f, one angle at a time.
+    Each starts at the vertex of the parabola through f_{k-1}, f_k and
+    f_{k+1} in the bracket of the two neighbouring angles, steps by
+    -f' / f'' (f' = v* P' v, f'' = -f + 2 sum |u_j* P' v|^2 / (f - l_j)
+    over the eigenvalues l_j apart from f) or bisects, and stops where the
+    step, |f'| or the step's predicted rise is at rounding level."""
+    n, m = t.shape[0], tolerances.RADIUS_GRID_POINTS
+    h, g = (t + t.conj().T) / 2, (t - t.conj().T) / 2j
+    step = 2 * math.pi / m
+    th = step * np.arange(m)
+    vals = np.linalg.eigvalsh(np.cos(th)[:, None, None] * h
+                              + np.sin(th)[:, None, None] * g)[:, -1]
+    cut = n * np.finfo(float).eps * np.linalg.norm(t)
+    peaks = np.flatnonzero((vals >= np.roll(vals, 1))
+                           & (vals >= np.roll(vals, -1))
+                           & (vals / math.cos(math.pi / m) + cut > vals.max()))
+    best = vals.max()
+    for k in peaks:
+        left, right = vals[k] - vals[k - 1], vals[k] - vals[(k + 1) % m]
+        a, b = step * (k - 1), step * (k + 1)
+        x = step * (k + (left - right) / (2 * (left + right))
+                    if left + right > 0 else k)
+        for _ in range(100):
+            w, u = np.linalg.eigh(np.cos(x) * h + np.sin(x) * g)
+            c = u.conj().T @ (np.cos(x) * g - np.sin(x) * h) @ u[:, -1]
+            f, d1 = w[-1], c[-1].real
+            apart = f - w > cut
+            d2 = 2 * np.sum(np.abs(c[apart]) ** 2 / (f - w[apart])) - f
+            best = max(best, f)
+            if d1 >= 0:
+                a = x
+            else:
+                b = x
+            d = -d1 / d2 if d2 < 0 else math.inf
+            if (min(abs(d), (b - a) / 2) <= tolerances.RADIUS_THETA_TOL
+                    or abs(d1) <= cut
+                    or d1 * d1 <= 2 * np.finfo(float).eps * abs(f) * -d2):
+                break
+            x = x + d if 2 * abs(d) <= b - a else (a + b) / 2
+    return best
+
+
+def roll_peaks(vals, cut):
+    """Grid indices of a scan's local maxima that pass the sublinear test,
+    neighbours taken with `np.roll` over the whole grid."""
+    m = vals.size
+    return np.flatnonzero((vals >= np.roll(vals, 1))
                           & (vals >= np.roll(vals, -1))
                           & (vals / math.cos(math.pi / m) + cut > vals.max()))
-    return s * max(vals.max(), numrange._newton_max(h, g, vals, pick, cut))
 
 
 def valued_grid_indices(monkeypatch, points):
@@ -260,6 +299,27 @@ class TestNewtonRefinement:
         assert best >= vals[2]
         assert sweeps[0].tolist() == [2 * step]
 
+    @pytest.mark.parametrize("seed", [1279, 4, 16])
+    def test_iterates_stay_in_their_brackets(self, seed, monkeypatch):
+        # a Newton step over half its bracket bisects instead, so no
+        # iterate leaves the two grid steps around its peak; on the
+        # clustered normal of seed 1279 an unguarded step lands 1.02 steps
+        # from the nearest peak
+        rng = philox(seed)
+        t, _ = clustered_normal(int(rng.integers(3, 9)),
+                                rng.uniform(0.0, 6.28), rng)
+        picks = []
+        real = numrange._scan_peaks
+        monkeypatch.setattr(numrange, "_scan_peaks",
+                            lambda *a: picks.append(real(*a)) or picks[-1])
+        sweeps = counting_sweeps(monkeypatch)
+        sr.numerical_radius(t)
+        step = 2 * math.pi / tolerances.RADIUS_GRID_POINTS
+        for angles in scan_and_newton(sweeps)[1:]:
+            off = (angles[:, None] - step * picks[0] + math.pi) % (2 * math.pi)
+            near = np.abs(off - math.pi).min(axis=1)  # to the nearest peak
+            assert np.all(near <= step * (1 + 1e-9))
+
     def test_start_within_half_a_step(self, monkeypatch):
         # the vertex of the parabola through a peak and its two neighbours
         t = complex_gaussian((5, 5), philox(7))
@@ -324,6 +384,81 @@ class TestHalfTurnScan:
         bound = 4 * base.shape[0] * np.finfo(float).eps * s * np.linalg.norm(base)
         scan = numrange._scan(h, g, m, np.arange(m // 2))
         assert np.abs(scan - direct).max() <= bound
+
+
+class TestScanPeaks:
+    """The radius picks its Newton starts among the 2|k| scan entries it
+    solved, with wrapped neighbours and -inf for unsolved ones; that must
+    pick what `np.roll` over the whole 1024-vector picks."""
+
+    M = tolerances.RADIUS_GRID_POINTS
+
+    def scan(self, k, values):
+        # a scan that solved the pencils k: values at k and k + m / 2
+        vals = np.full(self.M, -np.inf)
+        j = np.r_[k, np.asarray(k) + self.M // 2]
+        vals[j] = values
+        return vals
+
+    def check(self, vals, k, cut=1e-15):
+        picked = numrange._scan_peaks(vals, np.asarray(k), cut)
+        assert picked.tolist() == roll_peaks(vals, cut).tolist()
+        return picked.tolist()
+
+    def test_window_wraps_past_zero(self):
+        # solved 0, 1, 2, 510, 511 and their half-turn twins 512..514,
+        # 1022, 1023: peaks on 0 and on 511 read 1023 and 512 as neighbours
+        k = [0, 1, 2, 510, 511]
+        vals = self.scan(k, [1.0, 1 - 1e-7, 0.8, 0.7, 1 - 1e-7,
+                             0.5, 0.6, 0.7, 1 - 1e-6, 1 - 5e-7])
+        assert self.check(vals, k) == [0, 511]
+        vals[1023] = 1 + 1e-7  # now 0 is below its wrapped neighbour
+        assert self.check(vals, k) == [511, 1023]
+
+    @pytest.mark.parametrize("k", [[5, 6, 7], [508, 509, 510, 511]],
+                             ids=["inside", "before-the-half-turn"])
+    def test_peak_on_the_window_edge(self, k):
+        # rising to the last solved angle, whose right neighbour is -inf;
+        # the half-turn twins fall to theirs
+        rise = np.linspace(0.9, 1.0, len(k))
+        vals = self.scan(k, np.r_[rise, rise[::-1] - 0.5])
+        assert np.isneginf(vals[k[-1] + 1])
+        assert self.check(vals, k) == [k[-1]]
+
+    @pytest.mark.parametrize("cut", [0.0, 1e-15])
+    def test_flat_scan_ties(self, cut):
+        # every solved entry ties with its neighbours: each is a peak of a
+        # positive scan; a zero scan passes no sublinear test without a cut
+        k = np.arange(100, 140)
+        assert len(self.check(self.scan(k, np.ones(2 * k.size)), k, cut)
+                   ) == 2 * k.size
+        assert len(self.check(self.scan(k, np.zeros(2 * k.size)), k, cut)
+                   ) == (0 if cut == 0.0 else 2 * k.size)
+
+    @pytest.mark.parametrize("case", ["jordan", "thin", "gaussian"])
+    def test_scans_of_the_radius(self, case, monkeypatch):
+        # the scans the radius itself takes: a full flat one, a thin
+        # window wrapping past 0, and a Gaussian's window
+        scans = []
+        real = numrange._scan_peaks
+
+        def recording(vals, k, cut):
+            scans.append((vals, k, cut))
+            return real(vals, k, cut)
+
+        monkeypatch.setattr(numrange, "_scan_peaks", recording)
+        if case == "jordan":
+            t = np.diag([1.0, 1.0], k=1)
+        elif case == "thin":
+            u = random_unitary(3, philox(6))
+            g = complex_gaussian((3, 3), philox(7))
+            t = (u @ np.diag([3.0, 1.0, -1.0]) @ u.conj().T
+                 + 1e-7j * (g + g.conj().T))
+        else:
+            t = complex_gaussian((6, 6), philox(8))
+        sr.numerical_radius(t)
+        (vals, k, cut), = scans
+        assert self.check(vals, k, cut)
 
 
 def mp_radius(t):
