@@ -21,7 +21,7 @@ from . import tolerances as tol
 from .errors import DegenerateError, MatrixShapeError, ParameterError
 from .matcore import (
     as_square_matrix,
-    eigenvalues_2x2,
+    center_offset_2x2,
     invariants_close,
     operator_norm,
     scaled_square_matrix,
@@ -60,7 +60,7 @@ def ratio_check(t) -> RatioCheck:
     When no sector contains W(T) the generic bound ||T|| <= 2 w(T) applies
     and ``bound`` is 2.
     """
-    t, _ = scaled_square_matrix(t)  # the answers are invariant under T -> cT
+    t = scaled_square_matrix(t)[0]  # the answers are invariant under T -> cT
     norm = operator_norm(t)
     if norm == 0.0:
         raise DegenerateError("ratio of the zero matrix is undefined")
@@ -97,7 +97,7 @@ def canonical_family_test(a, alpha) -> RecoveredForm | None:
 
     Returns the recovered (r, theta), or None if A is not a member.
     """
-    a, _ = scaled_square_matrix(a)
+    a = scaled_square_matrix(a)[0]
     if a.shape != (2, 2):
         raise MatrixShapeError(f"expected a 2x2 matrix, got {a.shape}")
     alpha = validate_sector_angle(alpha)
@@ -105,7 +105,8 @@ def canonical_family_test(a, alpha) -> RecoveredForm | None:
     if det.real <= 0.0:
         return None
     a0 = a / math.sqrt(det.real)
-    lam = max(eigenvalues_2x2(a0), key=abs)
+    c, d = center_offset_2x2(a0)
+    lam = max(c - d, c + d, key=abs)
     theta = min(abs(math.atan2(lam.imag, lam.real)), alpha)
     form = RecoveredForm(max(abs(lam), 1.0), theta)
     member = r_alpha_matrix(form.r, form.theta, alpha)
@@ -199,7 +200,7 @@ def certify_extremal(t, alpha, tol_cert: float | None = None) -> CertificationRe
     and chain families show extremal matrices there need carry no
     direct-sum structure.
     """
-    t, _ = scaled_square_matrix(t)  # the report is invariant under T -> cT
+    t = scaled_square_matrix(t)[0]  # the report is invariant under T -> cT
     alpha = validate_sector_angle(alpha)
     if alpha <= 0.0:
         raise ParameterError("certification needs alpha in (0, pi/2]")

@@ -1,9 +1,9 @@
 """Dense complex linear algebra kernels.
 
 Everything downstream works with plain ``numpy.ndarray`` matrices
-(``complex128``, square).  This module provides validation, the one
-power-of-two rescale that scale-invariant routines apply at entry
-(`scaled_square_matrix`), the Cartesian (Hermitian/skew) decomposition,
+(``complex128``, square).  This module provides validation, the one entry
+of the scale-invariant routines (`scaled_square_matrix`: validate, rescale
+by a power of two and split), the Cartesian (Hermitian/skew) decomposition,
 operator norms and top singular vectors with deterministic phases, the
 commutant dimension used for irreducibility tests, and the closed-form 2x2
 eigenvalues and complete unitary-similarity invariants.
@@ -32,21 +32,25 @@ def as_square_matrix(a, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def scaled_square_matrix(a) -> tuple[np.ndarray, float]:
-    """``as_square_matrix(a)`` divided by its ``binary_scale``, and that scale.
+def scaled_square_matrix(a) -> tuple[np.ndarray, float, np.ndarray,
+                                      np.ndarray, float]:
+    """The one entry of a matrix into the scale-invariant routines:
+    ``(T, s, H, G, ||T||_F)`` for T = ``as_square_matrix(a)`` divided by
+    its ``binary_scale`` s, and the Cartesian parts T = H + iG of that T.
 
     The division is exact (but for entries more than 2^1022 times smaller
     than the largest, which round to subnormals), so a routine whose answer
     is invariant under T -> cT reads it from the scaled matrix, and one
     that returns a magnitude multiplies it back by the scale.  The largest
-    part |Re| or |Im| of an entry of the result lies in [1, 2), so products
-    of its entries and its Frobenius norm, which every relative cut is
-    taken against, neither under- nor overflow.
+    part |Re| or |Im| of an entry of T lies in [1, 2), so products of its
+    entries and its Frobenius norm, which every relative cut is taken
+    against, neither under- nor overflow.  The helpers behind a public
+    routine take these five as given and validate nothing again.
     """
     arr = as_square_matrix(a)
     s = binary_scale(arr)
     arr /= s
-    return arr, s
+    return (arr, s, *_cartesian(arr), float(np.linalg.norm(arr)))
 
 
 def binary_scale(a: np.ndarray) -> float:
@@ -74,11 +78,13 @@ def cartesian_decompose(t) -> CartesianPair:
     Both halve before they add, so entries near the overflow threshold
     stay finite.
     """
-    t = as_square_matrix(t)
+    return _cartesian(as_square_matrix(t))
+
+
+def _cartesian(t: np.ndarray) -> CartesianPair:
+    """`cartesian_decompose` of a matrix already validated."""
     th = t.conj().T
-    h = t / 2.0 + th / 2.0
-    g = 1j * (th / 2.0 - t / 2.0)
-    return CartesianPair(h, g)
+    return CartesianPair(t / 2.0 + th / 2.0, 1j * (th / 2.0 - t / 2.0))
 
 
 def _phase_normalize(v: np.ndarray) -> np.ndarray:
@@ -133,10 +139,8 @@ def commutant_dimension(t) -> int:
     system's norm is at most 2 ||(E_H, E_G)||_F, so a set where this bound
     is within the cut adds m^2 without forming the O(m^4) system.
     """
-    t, _ = scaled_square_matrix(t)  # keeps scale * scale below overflow
+    t, _, h, g, scale = scaled_square_matrix(t)  # scale^2 cannot overflow
     n = t.shape[0]
-    h, g = cartesian_decompose(t)
-    scale = float(np.linalg.norm(t))
     w, u = np.linalg.eigh(h + 0.6180339887498949 * g)
     hu, gu = (u.conj().T @ x @ u for x in (h, g))
     cluster = np.cumsum(
@@ -180,12 +184,6 @@ def center_offset_2x2(a: np.ndarray) -> tuple[complex, complex]:
     (a00, a01), (a10, a11) = (a / s).tolist()
     e = complex(a00 - a11) / 2.0
     return complex(a00 + a11) / 2.0 * s, cmath.sqrt(e * e + a01 * a10) * s
-
-
-def eigenvalues_2x2(a: np.ndarray) -> tuple[complex, complex]:
-    """Eigenvalues (c - d, c + d) of a 2x2 matrix (`center_offset_2x2`)."""
-    c, d = center_offset_2x2(a)
-    return c - d, c + d
 
 
 class SimilarityInvariants2x2(NamedTuple):

@@ -28,8 +28,7 @@ import numpy as np
 
 from . import tolerances as tol
 from .errors import MatrixShapeError, ParameterError
-from .matcore import (binary_scale, cartesian_decompose, center_offset_2x2,
-                      scaled_square_matrix)
+from .matcore import binary_scale, center_offset_2x2, scaled_square_matrix
 
 HALF_PI = math.pi / 2.0
 
@@ -106,18 +105,17 @@ def support_value(t, theta) -> BoundarySample:
     the Rayleigh point <Tv, v> of the maximizing unit eigenvector v, which
     lies on the boundary of W(T).  A non-finite theta raises ParameterError.
     """
-    t, s = scaled_square_matrix(t)
+    t, s, h, g, _ = scaled_square_matrix(t)
     theta = float(theta)
     if not math.isfinite(theta):
         raise ParameterError(f"support direction must be finite, got {theta}")
-    return _boundary_samples(t, s, np.array([theta]))[0]
+    return _boundary_samples(t, s, h, g, np.array([theta]))[0]
 
 
-def _boundary_samples(t: np.ndarray, s: float,
+def _boundary_samples(t: np.ndarray, s: float, h: np.ndarray, g: np.ndarray,
                       thetas) -> list[BoundarySample]:
-    """Support value and Rayleigh boundary point of s T at every angle in
-    `thetas`, both evaluated on T and multiplied by s."""
-    h, g = cartesian_decompose(t)
+    """Support value and Rayleigh boundary point of s T (T = H + iG) at every
+    angle in `thetas`, both evaluated on T and multiplied by s."""
     out: list[BoundarySample] = []
     for sl, p in _pencils(h, g, thetas):
         w, v = np.linalg.eigh(p)
@@ -207,7 +205,7 @@ def numerical_radius(t) -> float:
     w = f(arg z)) in that rectangle grown to hold 0; the scan solves only the
     pencils whose t or t + pi puts L e^{it} in it when grown by cut + 2.5
     steps times its farthest corner's modulus: all within 2 steps of arg z."""
-    t, s = scaled_square_matrix(t)  # keeps `_newton_max`'s f'' finite
+    t, s, h, g, fro = scaled_square_matrix(t)  # keeps Newton's f'' finite
     if t.shape[0] == 1:
         return s * float(abs(t[0, 0]))
     if t.shape[0] == 2:
@@ -219,9 +217,8 @@ def numerical_radius(t) -> float:
         return s * max(math.hypot(p * (1 + r * r) + a * (1 - r * r),
                                   q * (1 + r * r) + 2.0 * b * r) / (1 + r * r)
                        for r in x)
-    h, g = cartesian_decompose(t)
     m = tol.RADIUS_GRID_POINTS
-    cut = t.shape[0] * np.finfo(float).eps * float(np.linalg.norm(t))
+    cut = t.shape[0] * np.finfo(float).eps * fro
     side = np.maximum(_support_values(h, g, [0.0, HALF_PI]) * [[1], [-1]], 0)
     grow = math.hypot(*side.max(axis=0)) * 5.0 * math.pi / m + cut
     (xh, yh), (xn, yn) = side + grow  # f at 0, pi/2; pi, 3 pi/2; and >= 0
@@ -238,11 +235,11 @@ def boundary_points(t, m) -> list[BoundarySample]:
 
     The polygon through the returned points is inscribed in W(T).
     """
-    t, s = scaled_square_matrix(t)
+    t, s, h, g, _ = scaled_square_matrix(t)
     if not float(m).is_integer() or m < 3:
         raise ParameterError(f"need an integral count of at least 3 boundary "
                              f"samples, got {m!r}")
-    return _boundary_samples(t, s, 2.0 * math.pi * np.arange(int(m)) / m)
+    return _boundary_samples(t, s, h, g, 2.0 * math.pi * np.arange(int(m)) / m)
 
 
 @dataclass(frozen=True)
@@ -296,7 +293,7 @@ def ellipse_2x2(a) -> EllipseDescriptor:
     `_ellipse_axes` on the scaled matrix, so no cancelling invariant such
     as tr(AA*) - |l1|^2 - |l2|^2 enters.
     """
-    a, s = scaled_square_matrix(a)
+    a, s, *_ = scaled_square_matrix(a)
     if a.shape != (2, 2):
         raise MatrixShapeError(f"expected a 2x2 matrix, got {a.shape}")
     c, d, _, b = _ellipse_axes(a)
@@ -337,11 +334,10 @@ def sector_contains(t, alpha) -> bool:
     count as nonpositive, because extremal matrices touch the sector
     boundary exactly.
     """
-    t, _ = scaled_square_matrix(t)
+    _, _, h, g, fro = scaled_square_matrix(t)
     alpha = validate_sector_angle(alpha)
-    h, g = cartesian_decompose(t)
     top = _support_values(h, g, [HALF_PI + alpha, -HALF_PI - alpha, math.pi])
-    return bool(top[0].max() <= tol.PSD_RTOL * float(np.linalg.norm(t)))
+    return bool(top[0].max() <= tol.PSD_RTOL * fro)
 
 
 def min_sector_angle(t) -> float | None:
@@ -356,9 +352,7 @@ def min_sector_angle(t) -> float | None:
     R* G R, R = V_+ / sqrt(w_+) holding the other eigenpairs of H, and the
     answer is arctan of its spectral radius (0 when H vanishes).
     """
-    t, _ = scaled_square_matrix(t)
-    h, g = cartesian_decompose(t)
-    fro = float(np.linalg.norm(t))
+    t, _, h, g, fro = scaled_square_matrix(t)
     w, v = np.linalg.eigh(h)
     if w[0] < -tol.PSD_RTOL * fro:
         return None
@@ -393,15 +387,14 @@ def grid_radius(t, points: int = 1_000_000) -> float:
     angle off the grid is evaluated, so the result does not depend on the
     refinement in `numerical_radius`.
     """
-    t, s = scaled_square_matrix(t)
+    t, s, h, g, fro = scaled_square_matrix(t)
     if not float(points).is_integer() or not 8 <= points <= 2 ** 53:
         raise ParameterError(f"grid needs an integral count of at least 8 "
                              f"points and at most 2**53, got {points!r}")
     points, n = int(points), t.shape[0]
     if n == 1:
         return s * float(abs(t[0, 0]))
-    h, g = cartesian_decompose(t)
-    slack = 4.0 * n * np.finfo(float).eps * float(np.linalg.norm(t))
+    slack = 4.0 * n * np.finfo(float).eps * fro
     width = 1
     while 15 * 16 * width < points:
         width *= 16

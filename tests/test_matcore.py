@@ -1,15 +1,18 @@
 """Tests for the dense linear algebra kernels."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import sector_radius as sr
-from sector_radius.matcore import center_offset_2x2, eigenvalues_2x2
+from sector_radius import matcore
+from sector_radius.extremal import family_deviations
+from sector_radius.matcore import center_offset_2x2
 from helpers import (PROPERTY, SEEDS, complex_gaussian, direct_sum, philox,
-                     random_unitary)
+                     random_unitary, sectorial_sample)
 
 
 class TestCartesianDecompose:
@@ -40,13 +43,82 @@ class TestCartesianDecompose:
         np.testing.assert_allclose(h + 1j * g, t,
                                    atol=1e-12 * np.linalg.norm(t))
 
-    def test_rejects_non_square(self):
-        with pytest.raises(sr.MatrixShapeError):
-            sr.cartesian_decompose(np.zeros((2, 3)))
 
-    def test_rejects_non_finite(self):
-        with pytest.raises(sr.MatrixShapeError):
-            sr.cartesian_decompose([[np.nan, 0], [0, 0]])
+# Every public function that takes a matrix, with its other arguments.
+MATRIX_ENTRIES = {
+    "as_square_matrix": sr.as_square_matrix,
+    "cartesian_decompose": sr.cartesian_decompose,
+    "operator_norm": sr.operator_norm,
+    "top_right_singular_vectors": matcore.top_right_singular_vectors,
+    "commutant_dimension": sr.commutant_dimension,
+    "similarity_invariants_2x2": sr.similarity_invariants_2x2,
+    "numerical_radius": sr.numerical_radius,
+    "grid_radius": lambda t: sr.grid_radius(t, 64),
+    "support_value": lambda t: sr.support_value(t, 0.3),
+    "boundary_points": lambda t: sr.boundary_points(t, 8),
+    "ellipse_2x2": sr.ellipse_2x2,
+    "sector_contains": lambda t: sr.sector_contains(t, 0.5),
+    "min_sector_angle": sr.min_sector_angle,
+    "ratio_check": sr.ratio_check,
+    "canonical_family_test": lambda t: sr.canonical_family_test(t, 0.5),
+    "certify_extremal": lambda t: sr.certify_extremal(t, 0.5),
+    "compression_2x2": lambda t: sr.compression_2x2(t, [1.0, 0.0]),
+    "family_deviations": family_deviations,
+}
+MALFORMED = {
+    "nan": [[np.nan, 0.0], [0.0, 1.0]],
+    "inf": [[np.inf, 0.0], [0.0, -np.inf]],
+    "2x3": np.ones((2, 3)),
+    "1-D": np.ones(2),
+    "0x0": np.zeros((0, 0)),
+}
+
+
+@pytest.mark.parametrize("bad", MALFORMED)
+@pytest.mark.parametrize("entry", MATRIX_ENTRIES)
+def test_public_entries_reject_malformed_matrices(entry, bad):
+    with pytest.raises(sr.MatrixShapeError):
+        MATRIX_ENTRIES[entry](MALFORMED[bad])
+
+
+@pytest.fixture
+def entry_calls(monkeypatch):
+    """Calls of `as_square_matrix` and `cartesian_decompose`, wrapped in
+    every package namespace that holds them."""
+    calls = {"as_square_matrix": 0, "cartesian_decompose": 0}
+    for name in calls:
+        original = getattr(matcore, name)
+
+        def counted(*args, _name=name, _fn=original, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for key, mod in list(sys.modules.items()):
+            if key.split(".")[0] == "sector_radius":
+                for attr, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("entry", [
+    "numerical_radius", "min_sector_angle", "sector_contains", "grid_radius",
+    "support_value", "boundary_points", "commutant_dimension"])
+def test_public_call_validates_its_matrix_once(entry, entry_calls):
+    """`scaled_square_matrix` validates, scales and splits T once; the
+    helpers behind the call take its parts as given."""
+    t = complex_gaussian((4, 4), philox(560))
+    MATRIX_ENTRIES[entry](t)
+    assert entry_calls == {"as_square_matrix": 1, "cartesian_decompose": 0}
+
+
+def test_ratio_query_validates_five_times(entry_calls):
+    """ratio_check and sector_contains: one entry each, plus one for each
+    public routine that ratio_check calls (norm, sector angle, radius)."""
+    t = sectorial_sample(4, 0.7, philox(561))
+    sr.ratio_check(t)
+    sr.sector_contains(t, 0.7)
+    assert entry_calls == {"as_square_matrix": 5, "cartesian_decompose": 0}
 
 
 class TestOperatorNorm:
@@ -303,8 +375,8 @@ class TestEigenvalues2x2:
     @pytest.mark.parametrize("gap", [1e-7, 1e-9, 1e-12])
     def test_close_diagonal(self, gap):
         lo, hi = 1.0 - gap, 1.0 + gap
-        assert eigenvalues_2x2(np.diag([hi, lo]).astype(complex)) \
-            == pytest.approx((lo, hi), rel=0.0, abs=2.3e-16)
+        c, d = center_offset_2x2(np.diag([hi, lo]).astype(complex))
+        assert (c - d, c + d) == pytest.approx((lo, hi), rel=0.0, abs=2.3e-16)
 
     def test_close_off_diagonal(self):
         c, d = center_offset_2x2(np.array([[1.0, 1e-9], [1e-9, 1.0]]))
@@ -315,7 +387,8 @@ class TestEigenvalues2x2:
         rng = philox(540)
         for _ in range(20):
             a = complex_gaussian((2, 2), rng)
-            assert sorted(eigenvalues_2x2(a), key=lambda z: (z.real, z.imag)) \
+            c, d = center_offset_2x2(a)
+            assert sorted((c - d, c + d), key=lambda z: (z.real, z.imag)) \
                 == pytest.approx(sorted(np.linalg.eigvals(a).tolist(),
                                         key=lambda z: (z.real, z.imag)),
                                  abs=1e-14)

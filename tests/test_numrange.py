@@ -1076,6 +1076,33 @@ class TestRadiusProperties:
 
     @PROPERTY
     @given(SEEDS)
+    def test_normal_radius_is_max_modulus(self, seed):
+        """w(U diag(l) U*) = max |l|, with the n = 3..8 angles of l at least
+        pi / n apart: an oracle that needs no scan."""
+        rng = philox(seed)
+        n = int(rng.integers(3, 9))
+        angles = 2 * math.pi * (np.arange(n) + rng.uniform(0.0, 0.5, n)) / n
+        lam = rng.uniform(0.2, 1.0, n) * np.exp(
+            1j * (angles + rng.uniform(0.0, 2 * math.pi)))
+        u = random_unitary(n, rng)
+        assert sr.numerical_radius(u @ np.diag(lam) @ u.conj().T) \
+            == pytest.approx(float(np.abs(lam).max()), rel=1e-13, abs=0.0)
+
+    @PROPERTY
+    @given(SEEDS)
+    def test_block_sum_radius_is_max_of_blocks(self, seed):
+        """w(A + B) = max(w(A), w(B)) for a direct sum of Gaussians of
+        dimension 1..6."""
+        rng = philox(seed)
+        a, b = (complex_gaussian((int(rng.integers(1, 7)),) * 2, rng)
+                for _ in range(2))
+        b *= rng.uniform(0.5, 2.0)
+        assert sr.numerical_radius(direct_sum(a, b)) == pytest.approx(
+            max(sr.numerical_radius(a), sr.numerical_radius(b)),
+            rel=1e-13, abs=0.0)
+
+    @PROPERTY
+    @given(SEEDS)
     def test_adjoint(self, seed):
         t = gaussian(seed)
         assert sr.numerical_radius(t.conj().T) == pytest.approx(
