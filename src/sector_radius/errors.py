@@ -27,8 +27,7 @@ class DegenerateError(SectorRadiusError, ValueError):
 
 
 class ConstructionError(SectorRadiusError, RuntimeError):
-    """A numerical search inside a constructor failed to produce a matrix
-    meeting its postconditions."""
+    """A constructor's matrix fails one of its postconditions."""
 
 
 class UsageError(SectorRadiusError, ValueError):

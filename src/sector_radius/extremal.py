@@ -17,8 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConstructionError, FeasibilityError, ParameterError
-from .matcore import (as_square_matrix, cartesian_decompose,
-                      commutant_dimension, operator_norm)
+from .matcore import _cartesian, as_square_matrix, operator_norm
 from .numrange import numerical_radius, validate_sector_angle
 
 CHAIN_COUPLING_MAX = 1.0 / math.sqrt(45.0)
@@ -175,12 +174,24 @@ def three_by_three(d, b1, b2) -> np.ndarray:
     ], dtype=np.complex128)
 
 
+def _chain_size_and_epsilon(n, epsilon) -> tuple[int, float]:
+    """The chain's size n, an integer of at least 4, and epsilon in (0, 1)."""
+    if not float(n).is_integer() or n < 4:
+        raise ParameterError(f"n must be an integer of at least 4, got {n!r}")
+    epsilon = float(epsilon)
+    if not (0.0 < epsilon < 1.0):
+        raise ParameterError(f"epsilon must lie in (0, 1), got {epsilon}")
+    return int(n), epsilon
+
+
 def chain_matrix(n: int, d: float, epsilon: float) -> np.ndarray:
     """Raw n x n chain coupling: 3x3 head (b1 = 3d^2/2, b2 = 0) plus an
     epsilon bump at (3,3) and a geometric shift/diagonal tail.
 
-    No postconditions are checked here; see `irreducible_family`.
+    Only n and epsilon are checked here (d = 0 is legal); see
+    `irreducible_family`.
     """
+    n, epsilon = _chain_size_and_epsilon(n, epsilon)
     t = np.zeros((n, n), dtype=np.complex128)
     t[:3, :3] = three_by_three(d, 1.5 * d * d, 0.0)
     t[2, 2] += epsilon
@@ -196,16 +207,40 @@ def chain_eigenvectors(n: int, epsilon: float) -> list[np.ndarray]:
     Together they span the tail coordinate subspace, which is what pins the
     invariant-subspace structure of the chain matrix.
     """
-    vecs = []
-    for k in range(4, n + 1):
-        x = np.zeros(n, dtype=np.complex128)
-        x[k - 1] = 1.0
-        coef = 1.0
-        for j in range(1, n - k + 1):
-            coef *= epsilon ** j / (1.0 - epsilon ** j)
-            x[k - 1 + j] = coef
-        vecs.append(x)
+    n, epsilon = _chain_size_and_epsilon(n, epsilon)
+    ratios = [epsilon ** j / (1.0 - epsilon ** j) for j in range(1, n - 3)]
+    vecs = [np.zeros(n, dtype=np.complex128) for _ in range(4, n + 1)]
+    for k, x in zip(range(4, n + 1), vecs):
+        x[k - 1:] = np.cumprod([1.0, *ratios[:n - k]])
     return vecs
+
+
+def _reducibility(t: np.ndarray, epsilon: float) -> str | None:
+    """The failed check of the built chain T = [[A, B], [0, C]], or None.
+
+    T is irreducible when T*'s n eigenvalues conj(eig(A)) and diag(C) are
+    distinct and the Gram graph of its eigenvectors is connected.  A
+    positive, strictly decreasing diag(C), repeated above it, links the tail
+    ones in a path.  Each head one (u, (mu - C*)^-1 B* u), its mu over n
+    ulps from the rest, needs a cosine to x_4 above its residual over gap.
+    """
+    n, c, ts = len(t), t.diagonal()[3:].real, t.conj().T
+    if not np.all(np.diff(np.append(c, 0.0)) < 0):
+        return "tail diagonal not strictly decreasing and positive"
+    mus, us = np.linalg.eig(ts[:3, :3])
+    gaps = [np.partition(abs(np.append(mus, c) - mu), 1)[1] for mu in mus]
+    if min(gaps) <= n * np.finfo(float).eps:
+        return f"head eigenvalue gap {min(gaps):.3e} not above n ulps"
+    x4 = chain_eigenvectors(n, epsilon)[0]
+    for mu, u, gap in zip(mus, us.T, gaps):
+        x = np.append(u, np.linalg.solve(mu * np.eye(n - 3) - ts[3:, 3:],
+                                         ts[3:, :3] @ u))
+        x /= np.linalg.norm(x)
+        link = abs(np.vdot(x4, x)) / np.linalg.norm(x4)
+        bound = np.linalg.norm(ts @ x - mu * x) / gap
+        if link <= bound:
+            return f"head eigenvector link {link:.3e} to x_4 <= {bound:.3e}"
+    return None
 
 
 def family_deviations(t, epsilon=None) -> dict[str, float]:
@@ -218,7 +253,7 @@ def family_deviations(t, epsilon=None) -> dict[str, float]:
     property holds exactly.
     """
     t = as_square_matrix(t)
-    h, _ = cartesian_decompose(t)
+    h, _ = _cartesian(t)
     out = {
         "norm != 1": abs(operator_norm(t) - 1.0),
         "numerical radius != 1/sqrt(2)":
@@ -242,15 +277,13 @@ def irreducible_family(n, d, epsilon=None) -> tuple[np.ndarray, float]:
     couples in the remaining coordinates.  When ``epsilon`` is not given it
     is half the headroom of the 3x3 feasibility inequality, capped at 0.1.
     The construction's postconditions (the `family_deviations` within 1e-8,
-    then a trivial commutant) are checked once, and a failure raises
-    `ConstructionError`; no other epsilon is tried, since a smaller one
-    only weakens the chain's coupling.
+    then the irreducibility certificate of `_reducibility`) are checked
+    once, and a failure raises `ConstructionError`; no other epsilon is
+    tried, since a smaller one only weakens the chain's coupling.
 
     Returns the matrix together with the epsilon used.
     """
-    if not float(n).is_integer() or n < 4:
-        raise ParameterError(f"n must be an integer of at least 4, got {n!r}")
-    n, d = int(n), float(d)
+    d = float(d)
     if not (0.0 < d < CHAIN_COUPLING_MAX):
         raise ParameterError(
             f"d must lie in (0, 1/sqrt(45)) = (0, {CHAIN_COUPLING_MAX:.7f}), "
@@ -262,14 +295,12 @@ def irreducible_family(n, d, epsilon=None) -> tuple[np.ndarray, float]:
         eps = min(0.1, headroom / 2.0)
     else:
         eps = float(epsilon)
-        if not (0.0 < eps < 1.0):
-            raise ParameterError(f"epsilon must lie in (0, 1), got {eps}")
     t = chain_matrix(n, d, eps)
     failed = [f"{name} (deviation {dev:.3e})"
               for name, dev in family_deviations(t, eps).items() if dev > 1e-8]
-    if not failed and commutant_dimension(t) != 1:
-        failed = ["commutant dimension != 1 (unitarily reducible)"]
+    if not failed and (reason := _reducibility(t, eps)):
+        failed = [reason]
     if failed:
         raise ConstructionError(
-            f"{failed[0]} at epsilon = {eps} (n = {n}, d = {d})")
+            f"{failed[0]} at epsilon = {eps} (n = {len(t)}, d = {d})")
     return t, eps

@@ -6,6 +6,7 @@ module-level stream, or a fresh ``philox(seed)``.
 """
 
 import math
+import sys
 
 import numpy as np
 from hypothesis import settings, strategies as st
@@ -16,6 +17,16 @@ from sector_radius.acceptance import (complex_gaussian, direct_sum,
 
 def philox(seed):
     return np.random.default_rng(np.random.Philox(seed))
+
+
+def replace_everywhere(monkeypatch, original, replacement):
+    """For the current test, bind every package namespace's name for
+    ``original`` to ``replacement``."""
+    for key, mod in list(sys.modules.items()):
+        if key.split(".")[0] == "sector_radius":
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, replacement)
 
 
 def clustered_normal(n, center, rng):

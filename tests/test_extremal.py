@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import sector_radius as sr
+from sector_radius import extremal, matcore
 from sector_radius.extremal import family_deviations
+from helpers import replace_everywhere
 
 ALPHA_GRID = np.linspace(0.05, math.pi / 2, 24)
 
@@ -280,22 +282,16 @@ class TestIrreducibleFamily:
         assert eps == 0.1
         assert sr.commutant_dimension(t) == 1
 
-    def test_reducible_chain_raises_after_one_pass(self, monkeypatch):
-        # n = 15 fails the commutant test at the first epsilon; a smaller
-        # epsilon cannot pass it, so the constructor stops there
-        from sector_radius import extremal
+    @pytest.mark.parametrize("n", [6, 15])
+    def test_never_calls_commutant_dimension(self, n, monkeypatch):
+        # the chain certifies its own irreducibility; the general commutant
+        # test is left to criterion 9 and the test oracles
+        def refuse(*args):
+            raise AssertionError("commutant_dimension called")
 
-        calls = []
-
-        def counting(t):
-            calls.append(t.shape[0])
-            return sr.commutant_dimension(t)
-
-        monkeypatch.setattr(extremal, "commutant_dimension", counting)
-        with pytest.raises(sr.ConstructionError,
-                           match=r"commutant dimension != 1.*epsilon = 0\.1"):
-            sr.irreducible_family(15, 0.05)
-        assert calls == [15]
+        replace_everywhere(monkeypatch, matcore.commutant_dimension, refuse)
+        t, eps = sr.irreducible_family(n, 0.05)
+        assert t.shape == (n, n) and eps == 0.1
 
     def test_adjoint_eigen_relations(self):
         n, d = 5, 0.05
@@ -337,3 +333,113 @@ class TestIrreducibleFamily:
         # with the head coupling removed the commutant grows
         t = sr.chain_matrix(5, 0.0, 0.05)
         assert sr.commutant_dimension(t) >= 2
+
+
+def _chain_eigenvectors_loop(n, epsilon):
+    """`chain_eigenvectors` as a running product, one entry at a time."""
+    vecs = []
+    for k in range(4, n + 1):
+        x = np.zeros(n, dtype=np.complex128)
+        x[k - 1] = 1.0
+        coef = 1.0
+        for j in range(1, n - k + 1):
+            coef *= epsilon ** j / (1.0 - epsilon ** j)
+            x[k - 1 + j] = coef
+        vecs.append(x)
+    return vecs
+
+
+class TestChainParameters:
+    """`chain_matrix` and `chain_eigenvectors` check n and epsilon."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: sr.chain_eigenvectors(6, 1.0),
+        lambda: sr.chain_eigenvectors(6, math.nan),
+        lambda: sr.chain_eigenvectors(6, 0.0),
+        lambda: sr.chain_matrix(5, 0.1, math.inf),
+        lambda: sr.chain_matrix(5, 0.1, -0.1),
+    ])
+    def test_rejects_epsilon_outside_unit_interval(self, build):
+        with pytest.raises(sr.ParameterError, match="epsilon must lie"):
+            build()
+
+    @pytest.mark.parametrize("build", [
+        lambda: sr.chain_matrix(4.5, 0.1, 0.05),
+        lambda: sr.chain_matrix(3, 0.1, 0.05),
+        lambda: sr.chain_eigenvectors(math.nan, 0.05),
+        lambda: sr.chain_eigenvectors(2, 0.05),
+    ])
+    def test_rejects_size(self, build):
+        with pytest.raises(sr.ParameterError, match="n must be an integer"):
+            build()
+
+    def test_integral_float_size(self):
+        assert sr.chain_matrix(5.0, 0.1, 0.05).shape == (5, 5)
+        assert len(sr.chain_eigenvectors(5.0, 0.05)) == 2
+
+    @pytest.mark.parametrize("n,epsilon", [(4, 0.1), (9, 0.0745), (40, 0.1),
+                                           (120, 1e-3)])
+    def test_eigenvectors_match_running_product(self, n, epsilon):
+        for x, ref in zip(sr.chain_eigenvectors(n, epsilon),
+                          _chain_eigenvectors_loop(n, epsilon), strict=True):
+            assert x.tobytes() == ref.tobytes()
+
+
+# The sizes n >= 15 and the pairs (n, d) that the general commutant test
+# read as reducible, which the chain's own certificate builds.
+CERTIFIED_BUILDS = (
+    [(n, d) for n in (15, 20, 30) for d in (1e-4, 0.05, 0.149)]
+    + [(n, 0.14587) for n in range(10, 15)] + [(13, 0.14274), (14, 0.14274)])
+
+
+class TestChainCertificate:
+    """`irreducible_family` decides irreducibility from the construction."""
+
+    @pytest.mark.parametrize("n,d", CERTIFIED_BUILDS)
+    def test_builds(self, n, d):
+        t, eps = sr.irreducible_family(n, d)
+        assert t.shape == (n, n)
+        assert max(family_deviations(t, eps).values()) <= 1e-8
+
+    @pytest.mark.parametrize("n", range(4, 11))
+    def test_agrees_with_commutant(self, n):
+        certified = 0
+        for d in (0.0, 1e-3, 0.02, 0.05, 0.08, 0.11, 0.14, 0.149):
+            t = sr.chain_matrix(n, d, 0.1)
+            failed = extremal._reducibility(t, 0.1)
+            dim = sr.commutant_dimension(t)
+            if d == 0.0:
+                assert failed is not None and dim >= 2
+            elif dim == 1:
+                assert failed is None
+                certified += 1
+        assert certified >= 5
+
+    def _build_from(self, monkeypatch, t, n=5):
+        monkeypatch.setattr(extremal, "chain_matrix", lambda *args: t)
+        return sr.irreducible_family(n, 0.05, epsilon=0.05)
+
+    def test_rejects_decoupled_head(self, monkeypatch):
+        # d = 0 puts the head eigenvalue epsilon on the tail's first one
+        t = sr.chain_matrix(5, 0.0, 0.05)
+        assert max(family_deviations(t, 0.05).values()) <= 1e-8
+        with pytest.raises(sr.ConstructionError,
+                           match=r"head eigenvalue gap .* epsilon = 0\.05 "
+                                 r"\(n = 5, d = 0\.05\)"):
+            self._build_from(monkeypatch, t)
+
+    def test_rejects_head_without_tail_link(self, monkeypatch):
+        # the decoupled head moved off the tail spectrum: the gaps are wide,
+        # but the 2x2 block's eigenvectors have no tail component
+        t = sr.chain_matrix(5, 0.0, 0.05)
+        t[2, 2] = 0.3
+        assert max(family_deviations(t, 0.05).values()) <= 1e-8
+        with pytest.raises(sr.ConstructionError,
+                           match=r"head eigenvector link 0\.000e\+00 to x_4"):
+            self._build_from(monkeypatch, t)
+
+    def test_rejects_underflowed_tail(self):
+        # epsilon^k is 0 for k >= 108, so the stored tail is reducible even
+        # though every family deviation passes
+        with pytest.raises(sr.ConstructionError, match="tail diagonal"):
+            sr.irreducible_family(112, 0.05, epsilon=1e-3)

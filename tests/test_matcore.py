@@ -1,7 +1,6 @@
 """Tests for the dense linear algebra kernels."""
 
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -12,7 +11,7 @@ from sector_radius import matcore
 from sector_radius.extremal import family_deviations
 from sector_radius.matcore import center_offset_2x2
 from helpers import (PROPERTY, SEEDS, complex_gaussian, direct_sum, philox,
-                     random_unitary, sectorial_sample)
+                     random_unitary, replace_everywhere, sectorial_sample)
 
 
 class TestCartesianDecompose:
@@ -93,11 +92,7 @@ def entry_calls(monkeypatch):
             calls[_name] += 1
             return _fn(*args, **kwargs)
 
-        for key, mod in list(sys.modules.items()):
-            if key.split(".")[0] == "sector_radius":
-                for attr, value in list(vars(mod).items()):
-                    if value is original:
-                        monkeypatch.setattr(mod, attr, counted)
+        replace_everywhere(monkeypatch, original, counted)
     return calls
 
 
@@ -120,6 +115,16 @@ def test_ratio_query_validates_five_times(entry_calls):
     sr.sector_contains(t, 0.7)
     assert entry_calls == {"as_square_matrix": 5, "cartesian_decompose": 0}
 
+
+
+def test_family_deviations_splits_its_validated_matrix(entry_calls):
+    """family_deviations reads H from the T it validated, with the halving
+    arithmetic of `cartesian_decompose`, and never splits it again."""
+    t = sr.chain_matrix(6, 0.1, 0.1) - 0.01 * np.eye(6)
+    devs = family_deviations(t, 0.1)
+    assert entry_calls["cartesian_decompose"] == 0
+    h, _ = sr.cartesian_decompose(t)
+    assert devs["Hermitian part not PSD"] == -np.linalg.eigvalsh(h)[0] > 0
 
 class TestOperatorNorm:
     def test_rank_one(self):
