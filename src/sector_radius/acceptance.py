@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,12 +80,11 @@ def sectorial_sample(n: int, alpha: float, rng: np.random.Generator):
 
 def direct_sum(*blocks) -> np.ndarray:
     """Block-diagonal matrix with the given square blocks in order."""
-    dim = sum(b.shape[0] for b in blocks)
-    out = np.zeros((dim, dim), dtype=np.complex128)
+    out = np.zeros((sum(len(b) for b in blocks),) * 2, dtype=np.complex128)
     at = 0
     for b in blocks:
-        out[at:at + b.shape[0], at:at + b.shape[0]] = b
-        at += b.shape[0]
+        out[at:at + len(b), at:at + len(b)] = b
+        at += len(b)
     return out
 
 
@@ -120,17 +119,13 @@ def criterion_03(seed: int) -> CriterionResult:
     """Ratio bound on 1000 random sectorial matrices."""
     start = time.perf_counter()
     rng = _rng(seed, 3)
-    worst_excess = -math.inf
-    contained = 0
-    cases = 1000
+    worst_excess, contained, cases = -math.inf, 0, 1000
     for _ in range(cases):
         n = int(rng.integers(2, 7))
         alpha = rng.uniform(0.05, 1.45)
         t = sectorial_sample(n, alpha, rng)
-        if sector_contains(t, alpha):
-            contained += 1
-        excess = ratio_of(t) - tau(alpha)
-        worst_excess = max(worst_excess, excess)
+        contained += sector_contains(t, alpha)
+        worst_excess = max(worst_excess, ratio_of(t) - tau(alpha))
     elapsed = time.perf_counter() - start
     passed = (contained == cases and worst_excess <= 1e-8 and elapsed < 30.0)
     return CriterionResult(
@@ -219,8 +214,7 @@ def criterion_08(seed: int) -> CriterionResult:
     for d, b1, b2 in _three_by_three_samples(rng, True, 50):
         t = three_by_three(d, b1, b2)
         worst = max(worst, *family_deviations(t).values())
-        if d > 1e-3 and commutant_dimension(t) != 1:
-            commutant_ok = False
+        commutant_ok &= d <= 1e-3 or commutant_dimension(t) == 1
     rejected = 0
     for d, b1, b2 in _three_by_three_samples(rng, False, 50):
         try:
@@ -241,8 +235,7 @@ def criterion_09(seed: int) -> CriterionResult:
         for d in (0.05, 0.1):
             t, eps = irreducible_family(n, d)
             worst = max(worst, *family_deviations(t, eps).values())
-            if commutant_dimension(t) != 1:
-                commutant_ok = False
+            commutant_ok &= commutant_dimension(t) == 1
     passed = worst <= 1e-8 and commutant_ok
     return CriterionResult(9, "irreducible-chain-family", passed,
                            f"worst deviation={worst:.3e} over 6 builds")
@@ -313,9 +306,8 @@ def criterion_11(seed: int) -> CriterionResult:
         block = (tau(beta) / tau_a) * extremal_2x2(beta)
         blocks.append(block)
         block_margin = min(block_margin, tau_a - ratio_of(block))
-    ratios = []
-    for count in (10, 20, 30, 40, 50):
-        ratios.append(ratio_of(direct_sum(*blocks[:count])))
+    ratios = [ratio_of(direct_sum(*blocks[:count]))
+              for count in (10, 20, 30, 40, 50)]
     monotone = all(ratios[i + 1] > ratios[i] for i in range(len(ratios) - 1))
     approaching = all(abs(ratios[i + 1] - tau_a) < abs(ratios[i] - tau_a)
                       for i in range(len(ratios) - 1))
@@ -328,12 +320,9 @@ def criterion_11(seed: int) -> CriterionResult:
         f"min block margin={block_margin:.3e}, monotone={monotone}")
 
 
-_CRITERIA: list[tuple[int, Callable[[int], CriterionResult]]] = [
-    (1, criterion_01), (2, criterion_02), (3, criterion_03),
-    (4, criterion_04), (5, criterion_05), (6, criterion_06),
-    (7, criterion_07), (8, criterion_08), (9, criterion_09),
-    (10, criterion_10), (11, criterion_11),
-]
+_CRITERIA = (criterion_01, criterion_02, criterion_03, criterion_04,
+             criterion_05, criterion_06, criterion_07, criterion_08,
+             criterion_09, criterion_10, criterion_11)
 
 
 def format_line(res: CriterionResult) -> str:
@@ -345,7 +334,7 @@ def generate_report(seed: int) -> tuple[str, bool]:
     """Criteria 1-11 as one text block plus the overall outcome."""
     lines = [f"acceptance suite (seed={seed})"]
     all_passed = True
-    for _, fn in _CRITERIA:
+    for fn in _CRITERIA:
         res = fn(seed)
         all_passed = all_passed and res.passed
         lines.append(format_line(res))

@@ -10,6 +10,7 @@ block structure that extremal matrices must carry.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -20,12 +21,12 @@ import numpy as np
 from . import tolerances as tol
 from .errors import DegenerateError, MatrixShapeError, ParameterError
 from .matcore import (
+    _invariants_2x2,
     as_square_matrix,
     center_offset_2x2,
     invariants_close,
     operator_norm,
     scaled_square_matrix,
-    similarity_invariants_2x2,
     top_right_singular_vectors,
 )
 from .extremal import extremal_2x2, r_alpha_matrix
@@ -60,13 +61,14 @@ def ratio_check(t) -> RatioCheck:
     When no sector contains W(T) the generic bound ||T|| <= 2 w(T) applies
     and ``bound`` is 2.
     """
-    t = scaled_square_matrix(t)[0]  # the answers are invariant under T -> cT
-    norm = operator_norm(t)
+    # invariant under T -> cT: one frame of T / s, with s = 1, serves all
+    frame = scaled_square_matrix(t)._replace(s=1.0)
+    norm = operator_norm(frame)
     if norm == 0.0:
         raise DegenerateError("ratio of the zero matrix is undefined")
-    alpha_min = min_sector_angle(t)
+    alpha_min = min_sector_angle(frame)
     bound = 2.0 if alpha_min is None else tau(alpha_min)
-    ratio = norm / numerical_radius(t)
+    ratio = norm / numerical_radius(frame)
     return RatioCheck(alpha_min, ratio, bound,
                       ratio <= bound + tol.RATIO_BOUND_SLACK)
 
@@ -101,7 +103,7 @@ def canonical_family_test(a, alpha) -> RecoveredForm | None:
     if a.shape != (2, 2):
         raise MatrixShapeError(f"expected a 2x2 matrix, got {a.shape}")
     alpha = validate_sector_angle(alpha)
-    det = similarity_invariants_2x2(a).determinant
+    det = _invariants_2x2(a).determinant
     if det.real <= 0.0:
         return None
     a0 = a / math.sqrt(det.real)
@@ -112,8 +114,7 @@ def canonical_family_test(a, alpha) -> RecoveredForm | None:
     member = r_alpha_matrix(form.r, form.theta, alpha)
     if lam.imag < 0.0:
         member = member.conj().T
-    if not invariants_close(similarity_invariants_2x2(a0),
-                            similarity_invariants_2x2(member),
+    if not invariants_close(_invariants_2x2(a0), _invariants_2x2(member),
                             tol.FAMILY_ATOL):
         return None
     if any(abs(support_value(a0, phi).support_value) > tol.FAMILY_ATOL
@@ -200,7 +201,8 @@ def certify_extremal(t, alpha, tol_cert: float | None = None) -> CertificationRe
     and chain families show extremal matrices there need carry no
     direct-sum structure.
     """
-    t = scaled_square_matrix(t)[0]  # the report is invariant under T -> cT
+    # invariant under T -> cT: one frame of T / s, with s = 1, serves all
+    frame = scaled_square_matrix(t)._replace(s=1.0)
     alpha = validate_sector_angle(alpha)
     if alpha <= 0.0:
         raise ParameterError("certification needs alpha in (0, pi/2]")
@@ -208,17 +210,17 @@ def certify_extremal(t, alpha, tol_cert: float | None = None) -> CertificationRe
     if not math.isfinite(tol_cert) or tol_cert <= 0.0:
         raise ParameterError(
             f"tolerance must be finite and positive, got {tol_cert}")
-    norm, candidates = top_right_singular_vectors(t)
+    norm, candidates = top_right_singular_vectors(frame)
     if norm == 0.0:
         raise DegenerateError("cannot certify the zero matrix")
     tau_a = tau(alpha)
-    ratio = norm / numerical_radius(t)
-    if not sector_contains(t, alpha):
+    ratio = norm / numerical_radius(frame)
+    if not sector_contains(frame, alpha):
         return CertificationReport(Verdict.NOT_IN_SECTOR, alpha, ratio, tau_a)
     if abs(ratio - tau_a) > tol_cert:
         return CertificationReport(Verdict.NOT_EXTREMAL, alpha, ratio, tau_a)
-    reference = similarity_invariants_2x2(extremal_2x2(alpha))
-    t_norm = t / norm
+    reference = _invariants_2x2(extremal_2x2(alpha))
+    t_norm = frame.t / norm
     for x in candidates:
         report = _certify_with_vector(t_norm, x, alpha, ratio, tau_a,
                                       tol_cert, reference)
@@ -230,25 +232,22 @@ def certify_extremal(t, alpha, tol_cert: float | None = None) -> CertificationRe
 def _certify_with_vector(t_norm: np.ndarray, x: np.ndarray, alpha: float,
                          ratio: float, tau_a: float, tol_cert: float,
                          reference) -> CertificationReport:
-    n = t_norm.shape[0]
+    report = functools.partial(CertificationReport, alpha=alpha, ratio=ratio,
+                               tau=tau_a, attaining_vector=x)
     try:
         basis = _span_basis(t_norm, x)
     except DegenerateError:
-        return CertificationReport(Verdict.DEGENERATE, alpha, ratio, tau_a,
-                                   attaining_vector=x)
+        return report(Verdict.DEGENERATE)
     compression = basis.conj().T @ t_norm @ basis
-    if not invariants_close(similarity_invariants_2x2(compression),
-                            reference, tol_cert):
-        return CertificationReport(Verdict.NOT_EXTREMAL, alpha, ratio, tau_a,
-                                   attaining_vector=x,
-                                   compression=compression)
-    if n == 2:
+    report = functools.partial(report, compression=compression)
+    if not invariants_close(_invariants_2x2(compression), reference,
+                            tol_cert):
+        return report(Verdict.NOT_EXTREMAL)
+    if len(t_norm) == 2:
         # The compression is all of T/||T||: the invariant match already
         # decides extremality.
-        return CertificationReport(Verdict.EXTREMAL, alpha, ratio, tau_a,
-                                   attaining_vector=x,
-                                   compression=compression,
-                                   block_offdiag_norm=0.0, tail_radius=0.0)
+        return report(Verdict.EXTREMAL, block_offdiag_norm=0.0,
+                      tail_radius=0.0)
     # Householder QR completes the orthonormal pair to a unitary frame.
     full = np.hstack([basis, np.linalg.qr(basis, mode="complete")[0][:, 2:]])
     blocks = full.conj().T @ t_norm @ full
@@ -256,13 +255,8 @@ def _certify_with_vector(t_norm: np.ndarray, x: np.ndarray, alpha: float,
                   float(np.linalg.norm(blocks[2:, :2], 2)))
     tail = numerical_radius(blocks[2:, 2:])
     at_half_plane = alpha >= HALF_PI - 1e-12
-    ok = tail <= 1.0 / tau_a + tol_cert
-    if not at_half_plane:
-        ok = ok and offdiag <= tol_cert
-    return CertificationReport(
-        Verdict.EXTREMAL if ok else Verdict.NOT_EXTREMAL,
-        alpha, ratio, tau_a,
-        attaining_vector=x,
-        compression=compression,
-        block_offdiag_norm=None if at_half_plane else offdiag,
-        tail_radius=tail)
+    ok = tail <= 1.0 / tau_a + tol_cert and (at_half_plane
+                                            or offdiag <= tol_cert)
+    return report(Verdict.EXTREMAL if ok else Verdict.NOT_EXTREMAL,
+                  block_offdiag_norm=None if at_half_plane else offdiag,
+                  tail_radius=tail)

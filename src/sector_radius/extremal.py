@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConstructionError, FeasibilityError, ParameterError
-from .matcore import _cartesian, as_square_matrix, operator_norm
+from .matcore import Frame, operator_norm, scaled_square_matrix
 from .numrange import numerical_radius, validate_sector_angle
 
 CHAIN_COUPLING_MAX = 1.0 / math.sqrt(45.0)
@@ -106,9 +106,7 @@ def r_alpha_matrix(r, theta, alpha) -> np.ndarray:
     0 <= theta <= alpha.  The determinant is 1 and the numerical range lies
     in the sector, touching both of its boundary rays.
     """
-    alpha = validate_sector_angle(alpha)
-    r = float(r)
-    theta = float(theta)
+    alpha, r, theta = validate_sector_angle(alpha), float(r), float(theta)
     if not math.isfinite(r) or r < 1.0 - 1e-12:
         raise ParameterError(f"r must be >= 1, got {r}")
     r = max(r, 1.0)
@@ -163,8 +161,7 @@ def three_by_three(d, b1, b2) -> np.ndarray:
     unitarily irreducible.
     """
     params = ThreeByThreeParams(float(d), float(b1), float(b2))
-    violated = params.violation()
-    if violated is not None:
+    if (violated := params.violation()) is not None:
         raise FeasibilityError(violated)
     rt3 = math.sqrt(3.0)
     return np.array([
@@ -215,7 +212,7 @@ def chain_eigenvectors(n: int, epsilon: float) -> list[np.ndarray]:
     return vecs
 
 
-def _reducibility(t: np.ndarray, epsilon: float) -> str | None:
+def _reducibility(t: np.ndarray, x4: np.ndarray) -> str | None:
     """The failed check of the built chain T = [[A, B], [0, C]], or None.
 
     T is irreducible when T*'s n eigenvalues conj(eig(A)) and diag(C) are
@@ -231,7 +228,6 @@ def _reducibility(t: np.ndarray, epsilon: float) -> str | None:
     gaps = [np.partition(abs(np.append(mus, c) - mu), 1)[1] for mu in mus]
     if min(gaps) <= n * np.finfo(float).eps:
         return f"head eigenvalue gap {min(gaps):.3e} not above n ulps"
-    x4 = chain_eigenvectors(n, epsilon)[0]
     for mu, u, gap in zip(mus, us.T, gaps):
         x = np.append(u, np.linalg.solve(mu * np.eye(n - 3) - ts[3:, 3:],
                                          ts[3:, :3] @ u))
@@ -252,20 +248,26 @@ def family_deviations(t, epsilon=None) -> dict[str, float]:
     ||x_k|| for every vector of `chain_eigenvectors`.  All are 0 when the
     property holds exactly.
     """
-    t = as_square_matrix(t)
-    h, _ = _cartesian(t)
+    frame = scaled_square_matrix(t)
+    return _deviations(frame, epsilon, () if epsilon is None else
+                       chain_eigenvectors(len(frame.t), epsilon))
+
+
+def _deviations(frame: Frame, epsilon, vecs) -> dict[str, float]:
+    """`family_deviations` of a frame, given the chain's vectors: H and T
+    are multiplied back by s here, the norm and radius in their routines."""
     out = {
-        "norm != 1": abs(operator_norm(t) - 1.0),
+        "norm != 1": abs(operator_norm(frame) - 1.0),
         "numerical radius != 1/sqrt(2)":
-            abs(numerical_radius(t) - 1.0 / math.sqrt(2.0)),
-        "Hermitian part not PSD": max(0.0, -float(np.linalg.eigvalsh(h)[0])),
+            abs(numerical_radius(frame) - 1.0 / math.sqrt(2.0)),
+        "Hermitian part not PSD":
+            max(0.0, -frame.s * float(np.linalg.eigvalsh(frame.h)[0])),
     }
-    if epsilon is not None:
-        n = t.shape[0]
-        for k, x in zip(range(4, n + 1), chain_eigenvectors(n, epsilon)):
-            resid = np.linalg.norm(t.conj().T @ x - epsilon ** (k - 3) * x)
-            out[f"adjoint eigen-relation residual at k = {k}"] = (
-                float(resid) / float(np.linalg.norm(x)))
+    ts = (frame.t * frame.s).conj().T
+    for k, x in enumerate(vecs, start=1):
+        resid = np.linalg.norm(ts @ x - epsilon ** k * x)
+        out[f"adjoint eigen-relation residual at k = {k + 3}"] = (
+            float(resid) / float(np.linalg.norm(x)))
     return out
 
 
@@ -296,9 +298,10 @@ def irreducible_family(n, d, epsilon=None) -> tuple[np.ndarray, float]:
     else:
         eps = float(epsilon)
     t = chain_matrix(n, d, eps)
-    failed = [f"{name} (deviation {dev:.3e})"
-              for name, dev in family_deviations(t, eps).items() if dev > 1e-8]
-    if not failed and (reason := _reducibility(t, eps)):
+    vecs = chain_eigenvectors(len(t), eps)
+    failed = [f"{name} (deviation {dev:.3e})" for name, dev in _deviations(
+        scaled_square_matrix(t), eps, vecs).items() if dev > 1e-8]
+    if not failed and (reason := _reducibility(t, vecs[0])):
         failed = [reason]
     if failed:
         raise ConstructionError(

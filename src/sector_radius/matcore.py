@@ -23,6 +23,8 @@ from .errors import MatrixShapeError
 
 def as_square_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce ``a`` to a square complex128 array with finite entries."""
+    if isinstance(a, Frame):  # a new array, s T
+        return a.t * a.s
     arr = np.array(a, dtype=np.complex128, copy=True)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
         raise MatrixShapeError(
@@ -32,11 +34,22 @@ def as_square_matrix(a, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def scaled_square_matrix(a) -> tuple[np.ndarray, float, np.ndarray,
-                                      np.ndarray, float]:
-    """The one entry of a matrix into the scale-invariant routines:
-    ``(T, s, H, G, ||T||_F)`` for T = ``as_square_matrix(a)`` divided by
-    its ``binary_scale`` s, and the Cartesian parts T = H + iG of that T.
+class Frame(NamedTuple):
+    """A validated matrix as the numerical routines read it: T, the scale
+    s it was divided by, its Cartesian parts T = H + iG and ``||T||_F``."""
+
+    t: np.ndarray
+    s: float
+    h: np.ndarray
+    g: np.ndarray
+    fro: float
+
+
+def scaled_square_matrix(a) -> Frame:
+    """The one entry of a matrix into the numerical routines: the `Frame`
+    of T = ``as_square_matrix(a)`` divided by its ``binary_scale`` s, or
+    ``a`` itself when it is a frame.  A caller that needs T only up to
+    scale hands its frame, with s = 1, to the public routines it calls.
 
     The division is exact (but for entries more than 2^1022 times smaller
     than the largest, which round to subnormals), so a routine whose answer
@@ -45,12 +58,14 @@ def scaled_square_matrix(a) -> tuple[np.ndarray, float, np.ndarray,
     part |Re| or |Im| of an entry of T lies in [1, 2), so products of its
     entries and its Frobenius norm, which every relative cut is taken
     against, neither under- nor overflow.  The helpers behind a public
-    routine take these five as given and validate nothing again.
+    routine take the frame as given and validate nothing again.
     """
+    if isinstance(a, Frame):
+        return a
     arr = as_square_matrix(a)
     s = binary_scale(arr)
     arr /= s
-    return (arr, s, *_cartesian(arr), float(np.linalg.norm(arr)))
+    return Frame(arr, s, *_cartesian(arr), float(np.linalg.norm(arr)))
 
 
 def binary_scale(a: np.ndarray) -> float:
@@ -83,8 +98,8 @@ def cartesian_decompose(t) -> CartesianPair:
 
 def _cartesian(t: np.ndarray) -> CartesianPair:
     """`cartesian_decompose` of a matrix already validated."""
-    th = t.conj().T
-    return CartesianPair(t / 2.0 + th / 2.0, 1j * (th / 2.0 - t / 2.0))
+    half, half_adj = t / 2.0, t.conj().T / 2.0
+    return CartesianPair(half + half_adj, 1j * (half_adj - half))
 
 
 def _phase_normalize(v: np.ndarray) -> np.ndarray:
@@ -100,9 +115,9 @@ def _phase_normalize(v: np.ndarray) -> np.ndarray:
 
 
 def operator_norm(t) -> float:
-    """Largest singular value of T."""
-    t = as_square_matrix(t)
-    return float(np.linalg.norm(t, 2))
+    """Largest singular value of T (a frame's T / s, times s)."""
+    t, s = (t.t, t.s) if isinstance(t, Frame) else (as_square_matrix(t), 1.0)
+    return s * float(np.linalg.svd(t, compute_uv=False)[0])
 
 
 def top_right_singular_vectors(t):
@@ -112,14 +127,15 @@ def top_right_singular_vectors(t):
     singular subspace (all singular values within ``TOP_SINGULAR_RTOL *
     sigma_max`` of the largest).  Vectors are phase-normalized.
     """
-    t = as_square_matrix(t)
+    t, scale = ((t.t, t.s) if isinstance(t, Frame)
+                else (as_square_matrix(t), 1.0))
     _, s, vh = np.linalg.svd(t)
     smax = float(s[0])
     if smax == 0.0:
         return 0.0, []
     count = int(np.sum(smax - s <= tol.TOP_SINGULAR_RTOL * smax))
     vecs = _phase_normalize(vh[:count].conj().T)
-    return smax, [vecs[:, k] for k in range(count)]
+    return scale * smax, [vecs[:, k] for k in range(count)]
 
 
 def commutant_dimension(t) -> int:
@@ -203,6 +219,11 @@ def similarity_invariants_2x2(a) -> SimilarityInvariants2x2:
     a = as_square_matrix(a)
     if a.shape != (2, 2):
         raise MatrixShapeError(f"expected a 2x2 matrix, got {a.shape}")
+    return _invariants_2x2(a)
+
+
+def _invariants_2x2(a: np.ndarray) -> SimilarityInvariants2x2:
+    """`similarity_invariants_2x2` of a 2x2 array already validated."""
     trace = complex(a[0, 0] + a[1, 1])
     det = complex(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
     fro = float(np.sum(np.abs(a) ** 2))
@@ -211,7 +232,5 @@ def similarity_invariants_2x2(a) -> SimilarityInvariants2x2:
 
 def invariants_close(x: SimilarityInvariants2x2, y: SimilarityInvariants2x2,
                      atol: float) -> bool:
-    return (abs(x.trace - y.trace) <= atol
-            and abs(x.determinant - y.determinant) <= atol
-            and abs(x.frobenius_sq - y.frobenius_sq) <= atol)
+    return all(abs(a - b) <= atol for a, b in zip(x, y))
 

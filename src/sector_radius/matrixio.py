@@ -51,10 +51,8 @@ def to_json(value) -> str:
 
 def matrix_document(t) -> dict:
     t = as_square_matrix(t)
-    n = t.shape[0]
-    entries = [[[float(t[i, j].real), float(t[i, j].imag)]
-                for j in range(n)] for i in range(n)]
-    return {"n": n, "entries": entries}
+    return {"n": t.shape[0],
+            "entries": [[complex_pair(z) for z in row] for row in t]}
 
 
 def parse_matrix_document(text: str) -> np.ndarray:

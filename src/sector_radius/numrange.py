@@ -141,14 +141,14 @@ def _newton_max(h: np.ndarray, g: np.ndarray, vals: np.ndarray,
     once that step is <= RADIUS_THETA_TOL, |f'| <= `cut` (the noise peaks of
     a flat f, in one sweep) or its rise f'^2 / -f'' <= 2 eps |f|.  A sweep:
     one batched `eigh`, a dozen array operations, the rule on floats."""
-    step = 2.0 * math.pi / vals.size
-    rise = vals[k] - vals[k + np.array([[-1], [1 - vals.size]])]  # >= 0
-    rise[:, np.isinf(rise).any(axis=0)] = 0.0  # off the window: no inf - inf
-    (r0, r1), x, best = rise, step * k, -math.inf
-    vertex = np.divide(r0 - r1, 2 * (r0 + r1), out=0 * x, where=r0 + r1 > 0)
-    th = x + step * vertex  # the first sweep's angles
-    brackets = list(zip(th.tolist(), (x - step).tolist(), (x + step).tolist()))
+    step, brackets, best = 2.0 * math.pi / vals.size, [], -math.inf
+    near = vals[k[:, None] + np.array([-1, 0, 1 - vals.size])].tolist()
+    for j, (lo, mid, hi) in zip(k.tolist(), near):
+        r0, r1, x = mid - lo, mid - hi, step * j  # >= 0; inf off the window
+        v = (r0 - r1) / (2 * (r0 + r1)) if 0 < r0 + r1 < math.inf else 0.0
+        brackets.append((x + step * v, x - step, x + step))
     while brackets:
+        th = np.array([x for x, _, _ in brackets])
         cs, sn, f, f1, f2 = np.cos(th), np.sin(th), [], [], []  # f, f', f''
         for sl, p in _pencils(h, g, th):
             w, u = np.linalg.eigh(p)
@@ -169,7 +169,7 @@ def _newton_max(h: np.ndarray, g: np.ndarray, vals: np.ndarray,
                     and d1 * d1 > 2 * math.ulp(1.0) * abs(fx) * max(-d2, 0)):
                 live.append((x + d if 2 * abs(d) <= b - a else (a + b) / 2,
                              a, b))
-        brackets, th = live, np.array([x for x, _, _ in live])
+        brackets = live
     return best
 
 
@@ -218,7 +218,7 @@ def numerical_radius(t) -> float:
                                   q * (1 + r * r) + 2.0 * b * r) / (1 + r * r)
                        for r in x)
     m = tol.RADIUS_GRID_POINTS
-    cut = t.shape[0] * np.finfo(float).eps * fro
+    cut = t.shape[0] * math.ulp(1.0) * fro
     side = np.maximum(_support_values(h, g, [0.0, HALF_PI]) * [[1], [-1]], 0)
     grow = math.hypot(*side.max(axis=0)) * 5.0 * math.pi / m + cut
     (xh, yh), (xn, yn) = side + grow  # f at 0, pi/2; pi, 3 pi/2; and >= 0
@@ -352,16 +352,16 @@ def min_sector_angle(t) -> float | None:
     R* G R, R = V_+ / sqrt(w_+) holding the other eigenpairs of H, and the
     answer is arctan of its spectral radius (0 when H vanishes).
     """
-    t, _, h, g, fro = scaled_square_matrix(t)
+    _, _, h, g, fro = scaled_square_matrix(t)
     w, v = np.linalg.eigh(h)
     if w[0] < -tol.PSD_RTOL * fro:
         return None
-    kernel = w <= 4.0 * t.shape[0] * np.finfo(float).eps * fro
-    if np.abs(g @ v[:, kernel]).max(initial=0.0) > tol.PSD_RTOL * fro:
+    nullity = np.searchsorted(w, 4 * len(w) * math.ulp(1.0) * fro, "right")
+    if nullity and np.abs(g @ v[:, :nullity]).max() > tol.PSD_RTOL * fro:
         return HALF_PI
-    r = v[:, ~kernel] / np.sqrt(w[~kernel])
-    slopes = np.linalg.eigvalsh(r.conj().T @ g @ r)
-    return math.atan(float(np.max(np.abs(slopes), initial=0.0)))
+    r = v[:, nullity:] / np.sqrt(w[nullity:])
+    slopes = np.linalg.eigvalsh(r.conj().T @ g @ r).tolist()
+    return math.atan(max(abs(slopes[0]), abs(slopes[-1])) if slopes else 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,19 @@ def replace_everywhere(monkeypatch, original, replacement):
                     monkeypatch.setattr(mod, attr, replacement)
 
 
+def count_calls(monkeypatch, *functions):
+    """For the current test, count the calls of each function, by name,
+    from every package namespace that holds it."""
+    calls = dict.fromkeys((fn.__name__ for fn in functions), 0)
+    for fn in functions:
+        def counted(*args, _fn=fn, **kwargs):
+            calls[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+
+        replace_everywhere(monkeypatch, fn, counted)
+    return calls
+
+
 def clustered_normal(n, center, rng):
     """(U diag(l) U*, max |l|) with the n eigenvalues l at moduli in
     [1 - 2e-6, 1] and angles within 1.5 steps of the 1024-angle radius scan

@@ -8,7 +8,7 @@ import pytest
 import sector_radius as sr
 from sector_radius import extremal, matcore
 from sector_radius.extremal import family_deviations
-from helpers import replace_everywhere
+from helpers import count_calls, replace_everywhere
 
 ALPHA_GRID = np.linspace(0.05, math.pi / 2, 24)
 
@@ -293,6 +293,18 @@ class TestIrreducibleFamily:
         t, eps = sr.irreducible_family(n, 0.05)
         assert t.shape == (n, n) and eps == 0.1
 
+    def test_enters_the_chain_once(self, monkeypatch):
+        # one frame feeds the norm, the radius and H of the postconditions
+        calls = count_calls(monkeypatch, matcore.as_square_matrix)
+        sr.irreducible_family(6, 0.1)
+        assert calls == {"as_square_matrix": 1}
+
+    def test_builds_the_chain_vectors_once(self, monkeypatch):
+        # the residuals and the irreducibility certificate share them
+        calls = count_calls(monkeypatch, extremal.chain_eigenvectors)
+        sr.irreducible_family(6, 0.1)
+        assert calls == {"chain_eigenvectors": 1}
+
     def test_adjoint_eigen_relations(self):
         n, d = 5, 0.05
         t, eps = sr.irreducible_family(n, d)
@@ -406,7 +418,8 @@ class TestChainCertificate:
         certified = 0
         for d in (0.0, 1e-3, 0.02, 0.05, 0.08, 0.11, 0.14, 0.149):
             t = sr.chain_matrix(n, d, 0.1)
-            failed = extremal._reducibility(t, 0.1)
+            failed = extremal._reducibility(
+                t, sr.chain_eigenvectors(n, 0.1)[0])
             dim = sr.commutant_dimension(t)
             if d == 0.0:
                 assert failed is not None and dim >= 2

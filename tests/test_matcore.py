@@ -1,5 +1,6 @@
 """Tests for the dense linear algebra kernels."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,11 +8,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 import sector_radius as sr
-from sector_radius import matcore
+from sector_radius import matcore, matrixio
 from sector_radius.extremal import family_deviations
 from sector_radius.matcore import center_offset_2x2
-from helpers import (PROPERTY, SEEDS, complex_gaussian, direct_sum, philox,
-                     random_unitary, replace_everywhere, sectorial_sample)
+from helpers import (PROPERTY, SEEDS, complex_gaussian, count_calls,
+                     direct_sum, philox, random_unitary, sectorial_sample)
 
 
 class TestCartesianDecompose:
@@ -63,6 +64,7 @@ MATRIX_ENTRIES = {
     "certify_extremal": lambda t: sr.certify_extremal(t, 0.5),
     "compression_2x2": lambda t: sr.compression_2x2(t, [1.0, 0.0]),
     "family_deviations": family_deviations,
+    "matrix_document": matrixio.matrix_document,
 }
 MALFORMED = {
     "nan": [[np.nan, 0.0], [0.0, 1.0]],
@@ -84,16 +86,8 @@ def test_public_entries_reject_malformed_matrices(entry, bad):
 def entry_calls(monkeypatch):
     """Calls of `as_square_matrix` and `cartesian_decompose`, wrapped in
     every package namespace that holds them."""
-    calls = {"as_square_matrix": 0, "cartesian_decompose": 0}
-    for name in calls:
-        original = getattr(matcore, name)
-
-        def counted(*args, _name=name, _fn=original, **kwargs):
-            calls[_name] += 1
-            return _fn(*args, **kwargs)
-
-        replace_everywhere(monkeypatch, original, counted)
-    return calls
+    return count_calls(monkeypatch, matcore.as_square_matrix,
+                       matcore.cartesian_decompose)
 
 
 @pytest.mark.parametrize("entry", [
@@ -107,14 +101,73 @@ def test_public_call_validates_its_matrix_once(entry, entry_calls):
     assert entry_calls == {"as_square_matrix": 1, "cartesian_decompose": 0}
 
 
-def test_ratio_query_validates_five_times(entry_calls):
-    """ratio_check and sector_contains: one entry each, plus one for each
-    public routine that ratio_check calls (norm, sector angle, radius)."""
+def test_ratio_query_validates_twice(entry_calls):
+    """ratio_check hands its one frame to the norm, the sector angle and
+    the radius; sector_contains enters its matrix once."""
     t = sectorial_sample(4, 0.7, philox(561))
     sr.ratio_check(t)
     sr.sector_contains(t, 0.7)
-    assert entry_calls == {"as_square_matrix": 5, "cartesian_decompose": 0}
+    assert entry_calls == {"as_square_matrix": 2, "cartesian_decompose": 0}
 
+
+def test_certification_validates_twice(entry_calls):
+    """certify_extremal hands its frame to the singular vectors, the radius
+    and the sector test; the tail block is the only other matrix it
+    enters."""
+    alpha = 0.9
+    u = random_unitary(4, philox(562))
+    t = 3.0 * u @ direct_sum(sr.extremal_2x2(alpha),
+                             np.diag([0.3, 0.5]).astype(complex)) @ u.conj().T
+    assert sr.certify_extremal(t, alpha).verdict is sr.Verdict.EXTREMAL
+    assert entry_calls == {"as_square_matrix": 2, "cartesian_decompose": 0}
+
+
+def test_scaled_square_matrix_returns_a_frame_unchanged():
+    frame = matcore.scaled_square_matrix(
+        complex_gaussian((3, 3), philox(563)))
+    assert matcore.scaled_square_matrix(frame) is frame
+
+
+def bits(x):
+    """A value with every float as its bytes, to compare results exactly."""
+    if isinstance(x, np.ndarray):
+        return (x.dtype.str, x.shape, x.tobytes())
+    if isinstance(x, (float, complex, np.floating, np.complexfloating)):
+        return np.asarray(x).tobytes()
+    if isinstance(x, dict):
+        return {k: bits(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return type(x), [bits(v) for v in x]
+    if dataclasses.is_dataclass(x):
+        return bits(dataclasses.astuple(x))
+    return x
+
+
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("entry", MATRIX_ENTRIES)
+def test_public_entries_read_a_frame_as_its_matrix(entry, n):
+    """Every public routine that takes a matrix returns the same bits for
+    T and for the frame of T, whose scale here is not 1."""
+    t = 5.0 * sectorial_sample(n, 0.5, philox(564 + n))
+    frame = matcore.scaled_square_matrix(t)
+    assert frame.s != 1.0
+
+    def outcome(a):
+        try:
+            return bits(MATRIX_ENTRIES[entry](a))
+        except sr.SectorRadiusError as exc:
+            return type(exc), str(exc)
+
+    assert outcome(frame) == outcome(t)
+
+
+def test_family_deviations_enters_its_matrix_once(entry_calls):
+    """One frame feeds the norm, the radius and H; each magnitude is
+    multiplied back by the frame's scale."""
+    t = sr.chain_matrix(6, 0.1, 0.1)
+    devs = family_deviations(8.0 * t, 0.1)
+    assert entry_calls == {"as_square_matrix": 1, "cartesian_decompose": 0}
+    assert devs["norm != 1"] == pytest.approx(7.0, rel=1e-12)
 
 
 def test_family_deviations_splits_its_validated_matrix(entry_calls):
