@@ -99,14 +99,14 @@ def canonical_family_test(a, alpha) -> RecoveredForm | None:
 
     Returns the recovered (r, theta), or None if A is not a member.
     """
-    a = scaled_square_matrix(a)[0]
-    if a.shape != (2, 2):
-        raise MatrixShapeError(f"expected a 2x2 matrix, got {a.shape}")
+    frame = scaled_square_matrix(a)
+    if frame.t.shape != (2, 2):
+        raise MatrixShapeError(f"expected a 2x2 matrix, got {frame.t.shape}")
     alpha = validate_sector_angle(alpha)
-    det = _invariants_2x2(a).determinant
+    det = _invariants_2x2(frame.t).determinant
     if det.real <= 0.0:
         return None
-    a0 = a / math.sqrt(det.real)
+    a0 = frame.t / math.sqrt(det.real)
     c, d = center_offset_2x2(a0)
     lam = max(c - d, c + d, key=abs)
     theta = min(abs(math.atan2(lam.imag, lam.real)), alpha)
@@ -114,11 +114,11 @@ def canonical_family_test(a, alpha) -> RecoveredForm | None:
     member = r_alpha_matrix(form.r, form.theta, alpha)
     if lam.imag < 0.0:
         member = member.conj().T
+    rays = frame._replace(s=1.0 / math.sqrt(det.real))  # the frame of A0
     if not invariants_close(_invariants_2x2(a0), _invariants_2x2(member),
-                            tol.FAMILY_ATOL):
-        return None
-    if any(abs(support_value(a0, phi).support_value) > tol.FAMILY_ATOL
-           for phi in (HALF_PI + alpha, -HALF_PI - alpha)):
+                            tol.FAMILY_ATOL) or any(
+            abs(support_value(rays, phi).support_value) > tol.FAMILY_ATOL
+            for phi in (HALF_PI + alpha, -HALF_PI - alpha)):
         return None
     return form
 

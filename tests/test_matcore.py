@@ -92,11 +92,14 @@ def entry_calls(monkeypatch):
 
 @pytest.mark.parametrize("entry", [
     "numerical_radius", "min_sector_angle", "sector_contains", "grid_radius",
-    "support_value", "boundary_points", "commutant_dimension"])
+    "support_value", "boundary_points", "commutant_dimension",
+    "canonical_family_test"])
 def test_public_call_validates_its_matrix_once(entry, entry_calls):
     """`scaled_square_matrix` validates, scales and splits T once; the
     helpers behind the call take its parts as given."""
     t = complex_gaussian((4, 4), philox(560))
+    if entry == "canonical_family_test":  # a member: both rays are read
+        t = sr.r_alpha_matrix(1.5, 0.3, 0.5)
     MATRIX_ENTRIES[entry](t)
     assert entry_calls == {"as_square_matrix": 1, "cartesian_decompose": 0}
 

@@ -989,6 +989,20 @@ class TestMinSectorAngle:
             err = max(err, abs(sr.min_sector_angle(t) - a))
         assert err <= 1e-10
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 3: lambda_min(H) nears the kernel cut; the angle is "
+        "off by 1.1e-9 at pi/2 - 1e-7, and below that most members read "
+        "pi/2 exactly"))
+    def test_family_members_nearest_the_half_plane(self):
+        # pi/2 - alpha log-uniform in [1e-9, 1e-5], under the bound above
+        rng = philox(751)
+        err = 0.0
+        for _ in range(2000):
+            a = math.pi / 2 - 10.0 ** rng.uniform(-9.0, -5.0)
+            t = sr.r_alpha_matrix(rng.uniform(1.0, 2.0), rng.uniform(0.0, a), a)
+            err = max(err, abs(sr.min_sector_angle(t) - a))
+        assert err <= 1e-10
+
     def test_kernel_splits_off(self):
         t = direct_sum(np.zeros((1, 1)), sr.extremal_2x2(0.6))
         assert sr.min_sector_angle(t) == pytest.approx(0.6, abs=1e-9)
@@ -1365,12 +1379,12 @@ class TestSectorOracles:
 class TestSectorInvariance:
     """Containment and the minimal angle ignore scale and similarity."""
 
-    def assert_same_sector(self, t, t2):
+    def assert_same_sector(self, t, t2, exact=False):
         amin = sr.min_sector_angle(t)
         amin2 = sr.min_sector_angle(t2)
         assert (amin is None) == (amin2 is None)
         if amin is not None:
-            assert amin2 == pytest.approx(amin, abs=1e-12)
+            assert amin2 == (amin if exact else pytest.approx(amin, abs=1e-12))
             assert sr.sector_contains(t, amin) and sr.sector_contains(t2, amin)
         for alpha in ANGLES:
             assert (sr.sector_contains(t2, alpha)
@@ -1380,7 +1394,9 @@ class TestSectorInvariance:
     @given(SECTOR_INPUTS, st.one_of(POWERS_OF_TWO.map(lambda k: 2.0 ** k),
                                     st.sampled_from([1e-200, 1e200])))
     def test_scaling(self, t, factor):
-        self.assert_same_sector(t, factor * t)
+        # a power of two scales every entry exactly: the answers are bitwise
+        self.assert_same_sector(t, factor * t,
+                                exact=math.frexp(factor)[0] == 0.5)
 
     @PROPERTY
     @given(SECTOR_INPUTS, EXTREME_BINADES)
