@@ -13,7 +13,12 @@ workload and end-to-end metric that BENCHMARK.json declares, both sides'
 runs and medians, the change of the median over the parent's, the parent's
 interquartile range over its median, the pairs the change won in the
 metric's `better` direction and whether the change is within the metric's
-`bound`; and each side's attempted and failed query counts per run.
+`bound`; and each side's attempted and failed query counts per run.  Since
+perfbench keeps every query's record until its loop ends, peak RSS grows
+with the queries a run completes; `peak_rss_fit` splits it, per side, into
+the code's own memory and the memory held per kept record (a least-squares
+line over the pairs), and gives the change's RSS at the parent's median
+query count.
 """
 
 from __future__ import annotations
@@ -84,6 +89,27 @@ def summarize(runs: list[dict]) -> dict:
                     vals["parent"], vals["change"])),
                 "pairs": len(runs), "better": m["better"], "bound": m["bound"],
                 "within_bound": -up * change <= m["bound"]}
+        entry["peak_rss_fit"] = rss_fit(entry["attempted"],
+                                        entry["peak_rss_mb"]["runs"])
+    return out
+
+
+def rss_fit(attempted: dict, rss: dict) -> dict | None:
+    """Each side's peak RSS = intercept (MB) + slope (KB per query) x
+    queries attempted, fitted by least squares over the pairs, and the
+    change's line at the parent's median query count; None while the
+    counts cannot fix a line."""
+    try:
+        lines = {s: statistics.linear_regression(attempted[s], rss[s])
+                 for s in SIDES}
+    except statistics.StatisticsError:  # under two runs, or equal counts
+        return None
+    out = {s: {"intercept_mb": line.intercept,
+               "slope_kb_per_query": line.slope * 1024.0}
+           for s, line in lines.items()}
+    at = statistics.median(attempted["parent"])
+    out["change_mb_at_parent_median_attempted"] = (
+        lines["change"].intercept + lines["change"].slope * at)
     return out
 
 

@@ -371,21 +371,21 @@ def grid_radius(t, points: int = 1_000_000) -> float:
     """Numerical radius by brute force: max support value on a uniform grid.
 
     Returns the largest of f(t_k) = lambda_max(cos(t_k) H + sin(t_k) G)
-    over the ``points`` angles t_k = 2 pi k / points.  f is the support
-    function of W(T), which is sublinear: for a <= s <= b with b - a < pi,
-    e^{is} = alpha e^{ia} + beta e^{ib} with alpha, beta >= 0 and
-    1 <= alpha + beta <= 1 / cos((b - a) / 2), so f(s) <= max(f(a), f(b)) /
-    cos((b - a) / 2) when that maximum is positive, and f(s) <= max(f(a),
-    f(b)) otherwise.  The top blocks are the longest runs of 16^j angles
-    that still make at least 16 blocks (16 of 65,536 at 10^6 points, the
-    last one shorter), each valued at both ends.  A block whose bound plus
-    a rounding slack of ``4 n eps ||T||_F`` stays at or below the best
-    value so far is skipped; any other is split 16 ways, its children
-    inheriting its end values, so only the 15 inner child starts are new.
-    No angle is valued twice: about 160 on a Gaussian input, all
-    ``points`` when W(T) is a disk centred at 0 (a Jordan block).  No
-    angle off the grid is evaluated, so the result does not depend on the
-    refinement in `numerical_radius`.
+    over the ``points`` angles t_k = 2 pi k / points; at n = 1, where W(T)
+    is the point t_11, it returns |t_11| exactly.  f is the support function
+    of W(T), which is sublinear: for a <= s <= b with b - a < pi, e^{is} =
+    alpha e^{ia} + beta e^{ib} with alpha, beta >= 0 and 1 <= alpha + beta
+    <= 1 / cos((b - a) / 2), so f(s) <= max(f(a), f(b)) / cos((b - a) / 2)
+    when that maximum is positive, and f(s) <= max(f(a), f(b)) otherwise.
+    The top blocks are the longest runs of 16^j angles that still make at
+    least 16 blocks (16 of 65,536 at 10^6 points, the last one shorter),
+    each valued at both ends.  A block whose bound plus a rounding slack of
+    ``4 n eps ||T||_F`` stays at or below the best value so far is skipped;
+    any other is split 16 ways, its children inheriting its end values, so
+    only the 15 inner child starts are new.  No angle is valued twice: about
+    160 on a Gaussian input, all ``points`` when W(T) is a disk centred at
+    0 (a Jordan block).  No angle off the grid is evaluated, so the result
+    does not depend on the refinement in `numerical_radius`.
     """
     t, s, h, g, fro = scaled_square_matrix(t)
     if not float(points).is_integer() or not 8 <= points <= 2 ** 53:

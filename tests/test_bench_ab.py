@@ -55,3 +55,18 @@ def test_pairs_alternate_and_summary_follows_the_spec(ab, monkeypatch):
                 assert entry["change_wins"] == (3 if up else 1)
                 assert entry["parent_iqr_over_median"] == 0.0
                 assert entry["within_bound"] is (up or abs(step) < 1.0)
+            assert summary[wl]["peak_rss_fit"] is None  # equal counts
+
+    # peak RSS 40 MB + 16 KB a query on the parent, 30 MB + 8 KB on the
+    # change, which attempts 50 queries more in every pair
+    runs = fake_runs(0.0)
+    for i, pair in enumerate(runs):
+        for side, mb, kb in (("parent", 40.0, 16.0), ("change", 30.0, 8.0)):
+            for r in pair[side].values():
+                r["attempted"] = 100 * (i + 1) + 50 * (side == "change")
+                r["peak_rss_mb"] = mb + kb / 1024.0 * r["attempted"]
+    for entry in ab.summarize(runs).values():
+        fit = entry["peak_rss_fit"]
+        assert [*fit["parent"].values(), *fit["change"].values(),
+                fit["change_mb_at_parent_median_attempted"]] == pytest.approx(
+            [40.0, 16.0, 30.0, 8.0, 30.0 + 8.0 / 1024.0 * 250.0])

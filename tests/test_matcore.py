@@ -2,13 +2,14 @@
 
 import dataclasses
 import math
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import sector_radius as sr
-from sector_radius import matcore, matrixio
+from sector_radius import extremal, matcore, matrixio
 from sector_radius.extremal import family_deviations
 from sector_radius.matcore import center_offset_2x2
 from helpers import (PROPERTY, SEEDS, complex_gaussian, count_calls,
@@ -44,28 +45,71 @@ class TestCartesianDecompose:
                                    atol=1e-12 * np.linalg.norm(t))
 
 
-# Every public function that takes a matrix, with its other arguments.
-MATRIX_ENTRIES = {
-    "as_square_matrix": sr.as_square_matrix,
-    "cartesian_decompose": sr.cartesian_decompose,
-    "operator_norm": sr.operator_norm,
-    "top_right_singular_vectors": matcore.top_right_singular_vectors,
-    "commutant_dimension": sr.commutant_dimension,
-    "similarity_invariants_2x2": sr.similarity_invariants_2x2,
-    "numerical_radius": sr.numerical_radius,
-    "grid_radius": lambda t: sr.grid_radius(t, 64),
-    "support_value": lambda t: sr.support_value(t, 0.3),
-    "boundary_points": lambda t: sr.boundary_points(t, 8),
-    "ellipse_2x2": sr.ellipse_2x2,
-    "sector_contains": lambda t: sr.sector_contains(t, 0.5),
-    "min_sector_angle": sr.min_sector_angle,
-    "ratio_check": sr.ratio_check,
-    "canonical_family_test": lambda t: sr.canonical_family_test(t, 0.5),
-    "certify_extremal": lambda t: sr.certify_extremal(t, 0.5),
-    "compression_2x2": lambda t: sr.compression_2x2(t, [1.0, 0.0]),
-    "family_deviations": family_deviations,
-    "matrix_document": matrixio.matrix_document,
+GAUSS4, GAUSS2 = (complex_gaussian((n, n), philox(560)) for n in (4, 2))
+SECTORIAL4 = sectorial_sample(4, 0.7, philox(561))
+U4 = random_unitary(4, philox(562))
+EXTREMAL_SUM = 3.0 * U4 @ direct_sum(sr.extremal_2x2(0.9),
+                                     np.diag([0.3, 0.5])) @ U4.conj().T
+
+
+class Entry(NamedTuple):
+    """A public function's entry contract: ``call`` takes a matrix, and
+    its frame too where ``frame`` is true (None: it takes no matrix).  On
+    ``args`` it validates once, calls no other `COUNTED` function but as
+    ``calls`` says, and returns an answer that passes ``check``."""
+
+    call: Callable
+    frame: bool | None = True
+    args: tuple = (GAUSS4,)
+    calls: dict = {}
+    check: Callable = lambda args, out: True
+
+
+COUNTED = (matcore.as_square_matrix, matcore.cartesian_decompose,
+           extremal.chain_eigenvectors)
+# Every public function that validates a matrix.  family_deviations must
+# multiply the norm back by the scale, and read H, with the halving of
+# `cartesian_decompose`, from the T it validated.
+ENTRIES = {
+    "as_square_matrix": Entry(sr.as_square_matrix, False,  # the validation
+                              calls={"as_square_matrix": 0}),
+    "cartesian_decompose": Entry(sr.cartesian_decompose, False),
+    "operator_norm": Entry(sr.operator_norm),
+    "top_right_singular_vectors": Entry(matcore.top_right_singular_vectors),
+    "commutant_dimension": Entry(sr.commutant_dimension),
+    "similarity_invariants_2x2": Entry(sr.similarity_invariants_2x2, False,
+                                       (GAUSS2,)),
+    "numerical_radius": Entry(sr.numerical_radius),
+    "grid_radius": Entry(lambda t: sr.grid_radius(t, 64)),
+    "support_value": Entry(lambda t: sr.support_value(t, 0.3)),
+    "boundary_points": Entry(lambda t: sr.boundary_points(t, 8)),
+    "ellipse_2x2": Entry(sr.ellipse_2x2, args=(GAUSS2,)),
+    "sector_contains": Entry(lambda t, a=0.5: sr.sector_contains(t, a),
+                             args=(SECTORIAL4, 0.7)),
+    "min_sector_angle": Entry(sr.min_sector_angle),
+    "ratio_check": Entry(sr.ratio_check, args=(SECTORIAL4,)),
+    "canonical_family_test": Entry(  # a member: both rays are read
+        lambda t: sr.canonical_family_test(t, 0.5),
+        args=(sr.r_alpha_matrix(1.5, 0.3, 0.5),),
+        check=lambda args, out: out is not None),
+    "certify_extremal": Entry(
+        lambda t, a=0.5: sr.certify_extremal(t, a),
+        args=(EXTREMAL_SUM, 0.9), calls={"as_square_matrix": 2},
+        check=lambda args, out: out.verdict is sr.Verdict.EXTREMAL),
+    "compression_2x2": Entry(lambda t: sr.compression_2x2(t, [1.0, 0.0]),
+                             False, (GAUSS2,)),
+    "family_deviations": Entry(
+        family_deviations, calls={"chain_eigenvectors": 1},
+        args=(8.0 * np.exp(0.1j) * sr.chain_matrix(6, 0.1, 0.1), 0.1),
+        check=lambda args, devs: (
+            devs["norm != 1"] == pytest.approx(7.0, rel=1e-12)
+            and devs["Hermitian part not PSD"]
+            == -np.linalg.eigvalsh(sr.cartesian_decompose(args[0]).h)[0] > 0)),
+    "matrix_document": Entry(matrixio.matrix_document, False),
+    "irreducible_family": Entry(sr.irreducible_family, None, (6, 0.1),
+                                {"chain_eigenvectors": 1}),
 }
+MATRIX_ENTRIES = [e for e in ENTRIES if ENTRIES[e].frame is not None]
 MALFORMED = {
     "nan": [[np.nan, 0.0], [0.0, 1.0]],
     "inf": [[np.inf, 0.0], [0.0, -np.inf]],
@@ -79,50 +123,21 @@ MALFORMED = {
 @pytest.mark.parametrize("entry", MATRIX_ENTRIES)
 def test_public_entries_reject_malformed_matrices(entry, bad):
     with pytest.raises(sr.MatrixShapeError):
-        MATRIX_ENTRIES[entry](MALFORMED[bad])
+        ENTRIES[entry].call(MALFORMED[bad])
 
 
-@pytest.fixture
-def entry_calls(monkeypatch):
-    """Calls of `as_square_matrix` and `cartesian_decompose`, wrapped in
-    every package namespace that holds them."""
-    return count_calls(monkeypatch, matcore.as_square_matrix,
-                       matcore.cartesian_decompose)
-
-
-@pytest.mark.parametrize("entry", [
-    "numerical_radius", "min_sector_angle", "sector_contains", "grid_radius",
-    "support_value", "boundary_points", "commutant_dimension",
-    "canonical_family_test"])
-def test_public_call_validates_its_matrix_once(entry, entry_calls):
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_public_call_validates_its_matrix_once(entry, monkeypatch):
     """`scaled_square_matrix` validates, scales and splits T once; the
-    helpers behind the call take its parts as given."""
-    t = complex_gaussian((4, 4), philox(560))
-    if entry == "canonical_family_test":  # a member: both rays are read
-        t = sr.r_alpha_matrix(1.5, 0.3, 0.5)
-    MATRIX_ENTRIES[entry](t)
-    assert entry_calls == {"as_square_matrix": 1, "cartesian_decompose": 0}
-
-
-def test_ratio_query_validates_twice(entry_calls):
-    """ratio_check hands its one frame to the norm, the sector angle and
-    the radius; sector_contains enters its matrix once."""
-    t = sectorial_sample(4, 0.7, philox(561))
-    sr.ratio_check(t)
-    sr.sector_contains(t, 0.7)
-    assert entry_calls == {"as_square_matrix": 2, "cartesian_decompose": 0}
-
-
-def test_certification_validates_twice(entry_calls):
-    """certify_extremal hands its frame to the singular vectors, the radius
-    and the sector test; the tail block is the only other matrix it
-    enters."""
-    alpha = 0.9
-    u = random_unitary(4, philox(562))
-    t = 3.0 * u @ direct_sum(sr.extremal_2x2(alpha),
-                             np.diag([0.3, 0.5]).astype(complex)) @ u.conj().T
-    assert sr.certify_extremal(t, alpha).verdict is sr.Verdict.EXTREMAL
-    assert entry_calls == {"as_square_matrix": 2, "cartesian_decompose": 0}
+    helpers, and the public routines that ratio_check, certify_extremal and
+    family_deviations hand the frame to, take its parts as given.
+    certify_extremal also enters its tail block."""
+    row = ENTRIES[entry]
+    calls = count_calls(monkeypatch, *COUNTED)
+    out = row.call(*row.args)
+    assert calls == {"as_square_matrix": 1, "cartesian_decompose": 0,
+                     "chain_eigenvectors": 0, **row.calls}
+    assert row.check(row.args, out)
 
 
 def test_scaled_square_matrix_returns_a_frame_unchanged():
@@ -149,38 +164,24 @@ def bits(x):
 @pytest.mark.parametrize("n", [2, 4])
 @pytest.mark.parametrize("entry", MATRIX_ENTRIES)
 def test_public_entries_read_a_frame_as_its_matrix(entry, n):
-    """Every public routine that takes a matrix returns the same bits for
-    T and for the frame of T, whose scale here is not 1."""
+    """A public routine that takes a frame returns the same bits for T and
+    for the frame of T, whose scale here is not 1; one that takes plain
+    matrices only refuses the frame."""
     t = 5.0 * sectorial_sample(n, 0.5, philox(564 + n))
     frame = matcore.scaled_square_matrix(t)
     assert frame.s != 1.0
 
     def outcome(a):
         try:
-            return bits(MATRIX_ENTRIES[entry](a))
-        except sr.SectorRadiusError as exc:
+            return bits(ENTRIES[entry].call(a))
+        except ValueError as exc:
             return type(exc), str(exc)
 
-    assert outcome(frame) == outcome(t)
+    if ENTRIES[entry].frame:
+        assert outcome(frame) == outcome(t)
+    else:  # refused, not read as a matrix
+        assert outcome(frame)[0] is ValueError
 
-
-def test_family_deviations_enters_its_matrix_once(entry_calls):
-    """One frame feeds the norm, the radius and H; each magnitude is
-    multiplied back by the frame's scale."""
-    t = sr.chain_matrix(6, 0.1, 0.1)
-    devs = family_deviations(8.0 * t, 0.1)
-    assert entry_calls == {"as_square_matrix": 1, "cartesian_decompose": 0}
-    assert devs["norm != 1"] == pytest.approx(7.0, rel=1e-12)
-
-
-def test_family_deviations_splits_its_validated_matrix(entry_calls):
-    """family_deviations reads H from the T it validated, with the halving
-    arithmetic of `cartesian_decompose`, and never splits it again."""
-    t = sr.chain_matrix(6, 0.1, 0.1) - 0.01 * np.eye(6)
-    devs = family_deviations(t, 0.1)
-    assert entry_calls["cartesian_decompose"] == 0
-    h, _ = sr.cartesian_decompose(t)
-    assert devs["Hermitian part not PSD"] == -np.linalg.eigvalsh(h)[0] > 0
 
 class TestOperatorNorm:
     def test_rank_one(self):
@@ -220,6 +221,17 @@ class TestOperatorNorm:
         t = complex_gaussian((4, 4), philox(4))
         assert sr.operator_norm(s * t) / s == pytest.approx(
             sr.operator_norm(t), rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("e", [-300, -100, 0, 100, 300])
+    def test_plain_matrix_reads_as_its_frame(self, e):
+        # the plain fork skips the frame: the same double, but for a few
+        # ulps where LAPACK rescales the input
+        for seed in range(20):
+            t = 10.0 ** e * complex_gaussian((2 + seed % 5,) * 2,
+                                             philox(530 + seed))
+            assert sr.operator_norm(t) == pytest.approx(
+                sr.operator_norm(matcore.scaled_square_matrix(t)),
+                rel=8 * np.finfo(float).eps * (abs(e) == 300), abs=0.0)
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_random_unit_vectors_never_exceed(self, n):

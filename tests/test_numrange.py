@@ -64,11 +64,8 @@ def full_scan_radius(t):
     vals = np.linalg.eigvalsh(np.cos(th)[:, None, None] * h
                               + np.sin(th)[:, None, None] * g)[:, -1]
     cut = n * np.finfo(float).eps * np.linalg.norm(t)
-    peaks = np.flatnonzero((vals >= np.roll(vals, 1))
-                           & (vals >= np.roll(vals, -1))
-                           & (vals / math.cos(math.pi / m) + cut > vals.max()))
     best = vals.max()
-    for k in peaks:
+    for k in roll_peaks(vals, cut):
         left, right = vals[k] - vals[k - 1], vals[k] - vals[(k + 1) % m]
         a, b = step * (k - 1), step * (k + 1)
         x = step * (k + (left - right) / (2 * (left + right))
@@ -441,12 +438,8 @@ class TestScanPeaks:
         # window wrapping past 0, and a Gaussian's window
         scans = []
         real = numrange._scan_peaks
-
-        def recording(vals, k, cut):
-            scans.append((vals, k, cut))
-            return real(vals, k, cut)
-
-        monkeypatch.setattr(numrange, "_scan_peaks", recording)
+        monkeypatch.setattr(numrange, "_scan_peaks",
+                            lambda *a: scans.append(a) or real(*a))
         if case == "jordan":
             t = np.diag([1.0, 1.0], k=1)
         elif case == "thin":
@@ -471,8 +464,7 @@ def mp_radius(t):
     th = 2 * math.pi * np.arange(m) / m
     vals = np.linalg.eigvalsh(np.cos(th)[:, None, None] * h
                               + np.sin(th)[:, None, None] * g)[:, -1]
-    peaks = np.flatnonzero((vals >= np.roll(vals, 1))
-                           & (vals >= np.roll(vals, -1)))
+    peaks = roll_peaks(vals, math.inf)  # every local maximum
     with mpmath.workdps(40):
         hm, gm = mpmath.matrix(h.tolist()), mpmath.matrix(g.tolist())
 
@@ -506,8 +498,7 @@ def mp_radius_2x2(t):
     vals = ((z * (t[0, 0] + t[1, 1])).real
             + np.hypot((z * (t[0, 0] - t[1, 1])).real,
                        np.abs(z * t[0, 1] + np.conj(z * t[1, 0])))) / 2
-    peaks = np.flatnonzero((vals >= np.roll(vals, 1))
-                           & (vals >= np.roll(vals, -1)))
+    peaks = roll_peaks(vals, math.inf)  # every local maximum
     with mpmath.workdps(40):
         (a, b), (c, d) = [[mpmath.mpc(x) for x in row] for row in t.tolist()]
 
@@ -1150,10 +1141,10 @@ def check_against_full_scan(t):
 
 
 class TestSectorCone:
-    """W(T) inside the sector of half-angle alpha puts the Bendixson
-    rectangle in Re z >= 0 with |Im z| <= tan(alpha) max Re z, so the scan's
-    window lies in the cone |sin t| <= tan(alpha) about 0, plus its margin;
-    the radius must equal that of the full 512-pencil scan."""
+    """Sectorial inputs: the scan solves only the pencils whose angle t or
+    t + pi can hold the point of largest modulus inside the Bendixson
+    rectangle spec(H) x spec(G), plus its margin, and reads no sector; the
+    radius must equal that of the full 512-pencil scan."""
 
     @PROPERTY
     @given(SEEDS, st.integers(3, 8), st.floats(0.0, math.pi / 2 - 1e-8))
