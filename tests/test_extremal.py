@@ -8,7 +8,7 @@ import pytest
 import sector_radius as sr
 from sector_radius import extremal, matcore
 from sector_radius.extremal import family_deviations
-from helpers import replace_everywhere
+from helpers import count_calls, replace_everywhere
 
 ALPHA_GRID = np.linspace(0.05, math.pi / 2, 24)
 
@@ -292,6 +292,18 @@ class TestIrreducibleFamily:
         replace_everywhere(monkeypatch, matcore.commutant_dimension, refuse)
         t, eps = sr.irreducible_family(n, 0.05)
         assert t.shape == (n, n) and eps == 0.1
+
+    def test_enters_the_chain_once(self, monkeypatch):
+        # one frame feeds the norm, the radius and H of the postconditions
+        calls = count_calls(monkeypatch, matcore.as_square_matrix)
+        sr.irreducible_family(6, 0.1)
+        assert calls == {"as_square_matrix": 1}
+
+    def test_builds_the_chain_vectors_once(self, monkeypatch):
+        # the residuals and the irreducibility certificate share them
+        calls = count_calls(monkeypatch, extremal.chain_eigenvectors)
+        sr.irreducible_family(6, 0.1)
+        assert calls == {"chain_eigenvectors": 1}
 
     def test_adjoint_eigen_relations(self):
         n, d = 5, 0.05

@@ -140,6 +140,27 @@ def test_public_call_validates_its_matrix_once(entry, monkeypatch):
     assert row.check(row.args, out)
 
 
+def test_family_deviations_enters_its_matrix_once(monkeypatch):
+    """One frame feeds the norm, the radius and H; each magnitude is
+    multiplied back by the frame's scale."""
+    calls = count_calls(monkeypatch, matcore.as_square_matrix,
+                        matcore.cartesian_decompose)
+    devs = family_deviations(8.0 * sr.chain_matrix(6, 0.1, 0.1), 0.1)
+    assert calls == {"as_square_matrix": 1, "cartesian_decompose": 0}
+    assert devs["norm != 1"] == pytest.approx(7.0, rel=1e-12)
+
+
+def test_family_deviations_splits_its_validated_matrix(monkeypatch):
+    """family_deviations reads H from the T it validated, with the halving
+    arithmetic of `cartesian_decompose`, and never splits it again."""
+    t = sr.chain_matrix(6, 0.1, 0.1) - 0.01 * np.eye(6)
+    calls = count_calls(monkeypatch, matcore.cartesian_decompose)
+    devs = family_deviations(t, 0.1)
+    assert calls == {"cartesian_decompose": 0}
+    h, _ = sr.cartesian_decompose(t)
+    assert devs["Hermitian part not PSD"] == -np.linalg.eigvalsh(h)[0] > 0
+
+
 def test_scaled_square_matrix_returns_a_frame_unchanged():
     frame = matcore.scaled_square_matrix(
         complex_gaussian((3, 3), philox(563)))
