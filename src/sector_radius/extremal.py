@@ -290,13 +290,10 @@ def irreducible_family(n, d, epsilon=None) -> tuple[np.ndarray, float]:
         raise ParameterError(
             f"d must lie in (0, 1/sqrt(45)) = (0, {CHAIN_COUPLING_MAX:.7f}), "
             f"got {d}")
-    if epsilon is None:
-        # At b1 = 3d^2/2 the feasibility inequality reads
-        # 18 d^2 + sqrt(2) (13.5 d^2 + eps) <= 1.
-        headroom = (1.0 - 18.0 * d * d) / math.sqrt(2.0) - 13.5 * d * d
-        eps = min(0.1, headroom / 2.0)
-    else:
-        eps = float(epsilon)
+    # At b1 = 3d^2/2 the feasibility inequality reads
+    # 18 d^2 + sqrt(2) (13.5 d^2 + eps) <= 1.
+    headroom = (1.0 - 18.0 * d * d) / math.sqrt(2.0) - 13.5 * d * d
+    eps = min(0.1, headroom / 2.0) if epsilon is None else float(epsilon)
     t = chain_matrix(n, d, eps)
     vecs = chain_eigenvectors(len(t), eps)
     failed = [f"{name} (deviation {dev:.3e})" for name, dev in _deviations(

@@ -23,7 +23,10 @@ from .errors import MatrixShapeError
 
 def as_square_matrix(a) -> np.ndarray:
     """Coerce ``a`` to a square complex128 array with finite entries."""
-    arr = np.array(a, dtype=np.complex128, copy=True)
+    try:
+        arr = np.array(a, dtype=np.complex128, copy=True)
+    except (TypeError, ValueError) as exc:  # ragged rows, text entries
+        raise MatrixShapeError(f"not a matrix of numbers: {exc}") from None
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
         raise MatrixShapeError(
             f"matrix must be a square matrix, got shape {arr.shape}")
@@ -53,17 +56,17 @@ def scaled_square_matrix(a) -> Frame:
     than the largest, which round to subnormals), so a routine whose answer
     is invariant under T -> cT reads it from the scaled matrix, and one
     that returns a magnitude multiplies it back by the scale.  The largest
-    part |Re| or |Im| of an entry of T lies in [1, 2), so products of its
-    entries and its Frobenius norm, which every relative cut is taken
+    |Re| or |Im| of an entry of T lies in [1, 2), so products of entries
+    and ||T||_F (numpy's two dots), which every relative cut is taken
     against, neither under- nor overflow.  Only this entry and
-    `operator_norm` read a frame; the helpers take it as given.
-    """
+    `operator_norm` read a frame; the helpers take it as given."""
     if isinstance(a, Frame):
         return a
     arr = as_square_matrix(a)
-    s = binary_scale(arr)
-    arr /= s
-    return Frame(arr, s, *_cartesian(arr), float(np.linalg.norm(arr)))
+    arr /= (s := binary_scale(arr))
+    v = arr.reshape(-1)
+    return Frame(arr, s, *_cartesian(arr),
+                 math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag)))
 
 
 def binary_scale(a: np.ndarray) -> float:
@@ -73,7 +76,7 @@ def binary_scale(a: np.ndarray) -> float:
     entry (|1.7e308 (1 + i)| overflows), so the quotient's squares and
     products stay normal down to 2^-511 of the largest.  Dividing is exact.
     """
-    parts = np.asarray(a, dtype=np.complex128).reshape(-1).view(np.float64)
+    parts = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64)
     e = math.frexp(float(np.abs(parts).max()))[1]
     return math.ldexp(1.0, max(e - 1, -1022))
 
@@ -87,17 +90,14 @@ class CartesianPair(NamedTuple):
 
 def cartesian_decompose(t) -> CartesianPair:
     """Split T into its Hermitian part H = (T+T*)/2 and G = i(T*-T)/2.
-
-    Both halve before they add, so entries near the overflow threshold
-    stay finite.
-    """
+    Both halve before they add, so entries near overflow stay finite."""
     return _cartesian(as_square_matrix(t))
 
 
 def _cartesian(t: np.ndarray) -> CartesianPair:
     """`cartesian_decompose` of a matrix already validated."""
-    half, half_adj = t / 2.0, t.conj().T / 2.0
-    return CartesianPair(half + half_adj, 1j * (half_adj - half))
+    adj = (half := t / 2.0).conj().T
+    return CartesianPair(half + adj, 1j * (adj - half))
 
 
 def _phase_normalize(v: np.ndarray) -> np.ndarray:

@@ -73,20 +73,25 @@ def _pencils(h: np.ndarray, g: np.ndarray, thetas: np.ndarray):
 
 
 def _support_values(h: np.ndarray, g: np.ndarray, thetas) -> np.ndarray:
-    """Largest and smallest eigenvalue of cos(t) H + sin(t) G for every
-    angle in `thetas` (n >= 2), as rows 0 and 1: the support function at t
-    and minus the support function at t + pi."""
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=np.float64))
-    out = np.empty((2,) + thetas.shape)
-    for sl, p in _pencils(h, g, thetas):
-        if h.shape[0] == 2:
-            # Closed form for the eigenvalues of a 2x2 Hermitian matrix.
-            a, d = p[:, 0, 0].real, p[:, 1, 1].real
-            r = np.hypot((a - d) / 2.0, np.abs(p[:, 0, 1]))
-            out[0, sl], out[1, sl] = (a + d) / 2.0 + r, (a + d) / 2.0 - r
-        else:
+    """Largest and smallest eigenvalue of P = cos(t) H + sin(t) G for every
+    angle in `thetas`, as rows 0 and 1: the support function at t and minus
+    it at t + pi.  At n = 2, m +- r for P = [[a, o], [., d]], m = (a + d) / 2
+    and r = hypot((a - d) / 2, |o|), from H's and G's entries as rows."""
+    thetas = np.asarray(thetas, dtype=np.float64).reshape(-1)
+    out = np.empty((2, thetas.size))
+    if h.shape[0] != 2:
+        for sl, p in _pencils(h, g, thetas):
             w = np.linalg.eigvalsh(p)
             out[0, sl], out[1, sl] = w[:, -1], w[:, 0]
+        return out
+    h, g = h.reshape(4, 1), g.reshape(4, 1)
+    for lo in range(0, thetas.size, _PENCIL_ENTRIES // 4):
+        sl = slice(lo, lo + _PENCIL_ENTRIES // 4)
+        p = h * np.cos(thetas[sl]).astype(complex)  # rows: P's a, o, ., d
+        p += g * np.sin(thetas[sl]).astype(complex)
+        r = np.hypot((p[0].real - p[3].real) / 2.0, np.abs(p[1]))
+        m = (p[0].real + p[3].real) / 2.0
+        np.add(m, r, out=out[0, sl]), np.subtract(m, r, out=out[1, sl])
     return out
 
 
@@ -106,8 +111,7 @@ def support_value(t, theta) -> BoundarySample:
     lies on the boundary of W(T).  A non-finite theta raises ParameterError.
     """
     t, s, h, g, _ = scaled_square_matrix(t)
-    theta = float(theta)
-    if not math.isfinite(theta):
+    if not math.isfinite(theta := float(theta)):
         raise ParameterError(f"support direction must be finite, got {theta}")
     return _boundary_samples(t, s, h, g, np.array([theta]))[0]
 
@@ -310,8 +314,7 @@ def ellipse_support_point(desc: EllipseDescriptor, theta: float) -> complex:
     least a |cos(theta - psi)| > 0, even on a segment.  A non-finite theta
     raises ParameterError.
     """
-    theta = float(theta)
-    if not math.isfinite(theta):
+    if not math.isfinite(theta := float(theta)):
         raise ParameterError(f"support direction must be finite, got {theta}")
     s = binary_scale(desc.semi_major)
     a, b = desc.semi_major / s, desc.semi_minor / s
@@ -371,21 +374,18 @@ def grid_radius(t, points: int = 1_000_000) -> float:
     """Numerical radius by brute force: max support value on a uniform grid.
 
     Returns the largest of f(t_k) = lambda_max(cos(t_k) H + sin(t_k) G)
-    over the ``points`` angles t_k = 2 pi k / points; at n = 1, where W(T)
-    is the point t_11, it returns |t_11| exactly.  f is the support function
-    of W(T), which is sublinear: for a <= s <= b with b - a < pi, e^{is} =
-    alpha e^{ia} + beta e^{ib} with alpha, beta >= 0 and 1 <= alpha + beta
-    <= 1 / cos((b - a) / 2), so f(s) <= max(f(a), f(b)) / cos((b - a) / 2)
-    when that maximum is positive, and f(s) <= max(f(a), f(b)) otherwise.
-    The top blocks are the longest runs of 16^j angles that still make at
-    least 16 blocks (16 of 65,536 at 10^6 points, the last one shorter),
-    each valued at both ends.  A block whose bound plus a rounding slack of
-    ``4 n eps ||T||_F`` stays at or below the best value so far is skipped;
-    any other is split 16 ways, its children inheriting its end values, so
-    only the 15 inner child starts are new.  No angle is valued twice: about
-    160 on a Gaussian input, all ``points`` when W(T) is a disk centred at
-    0 (a Jordan block).  No angle off the grid is evaluated, so the result
-    does not depend on the refinement in `numerical_radius`.
+    over the ``points`` angles t_k = 2 pi k / points (|t_11| at n = 1).  f,
+    the support function of W(T), is sublinear: for a <= s <= b, b - a < pi,
+    e^{is} = x e^{ia} + y e^{ib} with x, y >= 0 and 1 <= x + y <= 1 / cos((b
+    - a) / 2), so f(s) <= max(m, m / cos((b - a) / 2)), m = max(f(a), f(b)).
+    The top blocks are the longest runs of 16^j angles that make 16 or more
+    (16 of 65,536 at 10^6 points, the last one shorter), valued at both
+    ends.  Each level skips the blocks whose bound at the level's full width
+    plus ``4 n eps ||T||_F`` is at most the best value so far, and splits
+    the rest 16 ways in one table of their end values and 15 new starts.  No
+    angle is valued twice: about 160 for a Gaussian T, all ``points`` when
+    W(T) is a disk centred at 0.  No angle off the grid is valued, so the
+    result does not depend on the refinement in `numerical_radius`.
     """
     t, s, h, g, fro = scaled_square_matrix(t)
     if not float(points).is_integer() or not 8 <= points <= 2 ** 53:
@@ -394,34 +394,37 @@ def grid_radius(t, points: int = 1_000_000) -> float:
     points, n = int(points), t.shape[0]
     if n == 1:
         return s * float(abs(t[0, 0]))
-    slack = 4.0 * n * np.finfo(float).eps * fro
+    slack = 4.0 * n * math.ulp(1.0) * fro
     width = 1
     while 15 * 16 * width < points:
         width *= 16
-    starts = np.arange(0, points, width)
-    vals = _support_values(h, g, 2.0 * math.pi * starts / points)[0]
+
+    def sweep(k):  # the support values at grid indices k, as one row
+        return _support_values(h, g, (2 * math.pi * k).reshape(-1) / points)[0]
+    vals = sweep(starts := np.arange(0, points, width))
     best = float(vals.max())
-    blocks = [(width, starts, vals, np.roll(vals, -1))]
-    while blocks:
+    blocks = [(width, starts, vals, np.concatenate((vals[1:], vals[:1])))]
+    while width > 1 and blocks:  # up to 240 points all are valued at once
         # Depth first, splitting at most _GRID_BLOCKS // 16 blocks a sweep,
         # so memory stays flat in `points`.
         width, starts, f0, f1 = blocks.pop()
-        size = np.minimum(starts + width, points) - starts
         top = np.maximum(f0, f1)
-        top = np.where(top > 0.0, top / np.cos(math.pi / points * size), top)
-        keep = (top + slack > best) & (size > 1)
-        starts, size, f0, f1 = starts[keep], size[keep], f0[keep], f1[keep]
-        offset = width // 16 * np.arange(16)
-        for lo in range(0, starts.size, _GRID_BLOCKS // 16):
-            sl = slice(lo, lo + _GRID_BLOCKS // 16)
-            inside, kids = offset < size[sl, None], starts[sl, None] + offset
-            new = kids[:, 1:][inside[:, 1:]]
-            vals = _support_values(h, g, 2.0 * math.pi * new / points)[0]
+        top = np.maximum(top, top * (1.0 / math.cos(math.pi / points * width)))
+        keep = (top + slack > best).nonzero()[0]
+        offset = np.arange(0, width, width // 16)
+        for lo in range(0, keep.size, _GRID_BLOCKS // 16):
+            i = keep[lo:lo + _GRID_BLOCKS // 16]
+            kids, f = starts[i][:, None] + offset, np.empty((i.size, 17))
+            f[:, 0], f[:, 16] = f0[i], f1[i]  # child k spans columns k, k + 1
+            if kids[-1, -1] < points - 1:  # each child holds 2 or more angles
+                vals, push = sweep(kids[:, 1:]), slice(None)
+                f[:, 1:16] = vals.reshape(-1, 15)
+            else:  # a child start past the grid's end reads the end value
+                inside, push = kids[:, 1:] < points, kids < points - 1
+                f[:, 1:16] = f1[i[-1]]
+                f[:, 1:16][inside] = vals = sweep(kids[:, 1:][inside])
             best = float(vals.max(initial=best))
-            if width > 16:  # child k spans the values in columns k, k + 1
-                f = np.empty((kids.shape[0], 17))
-                f[:, 0], f[:, 1:16][inside[:, 1:]] = f0[sl], vals
-                f[np.arange(f.shape[0]), inside.sum(axis=1)] = f1[sl]
-                blocks.append((width // 16, kids[inside], f[:, :16][inside],
-                               f[:, 1:][inside]))
+            if width > 16:
+                blocks.append((width // 16, *(x[push].ravel() for x in (
+                    kids, f[:, :16], f[:, 1:]))))
     return s * best

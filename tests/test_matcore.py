@@ -116,6 +116,8 @@ MALFORMED = {
     "2x3": np.ones((2, 3)),
     "1-D": np.ones(2),
     "0x0": np.zeros((0, 0)),
+    "ragged": [[1, 2], [3]],
+    "text": [["a", "b"], ["c", "d"]],
 }
 
 
@@ -200,8 +202,8 @@ def test_public_entries_read_a_frame_as_its_matrix(entry, n):
 
     if ENTRIES[entry].frame:
         assert outcome(frame) == outcome(t)
-    else:  # refused, not read as a matrix
-        assert outcome(frame)[0] is ValueError
+    else:  # refused with the documented error, not read as a matrix
+        assert outcome(frame)[0] is sr.MatrixShapeError
 
 
 class TestOperatorNorm:

@@ -712,15 +712,25 @@ class TestGridOracle:
         assert idx.size == 10 ** 6
         assert np.array_equal(np.sort(idx), np.arange(10 ** 6))
 
-    @pytest.mark.parametrize("points", [4097, 999_983, 10 ** 6 + 1])
+    @pytest.mark.parametrize("points",
+                             [4096, 4097, 65_537, 999_983, 10 ** 6 + 1])
     def test_truncated_last_block(self, points):
-        # the top width 16^j does not divide `points`, so the last top block
-        # ends early, at angle 0; f(t) = cos(t - phi) near its peak phi, 0.4
-        # grid steps after the last grid angle and 0.6 before 0, so each
-        # last child needs f(0) as its end value to be kept
+        # the top width 16^j does not divide `points` (but 4096, which takes
+        # the unmasked level only), so the last top block ends early, at
+        # angle 0; at 65,537 it is one angle long.  f(t) = cos(t - phi) near
+        # its peak phi, 0.4 grid steps after the last grid angle and 0.6
+        # before 0, so each last child needs f(0) as its end value to be kept
         phi = 2 * math.pi * (points - 0.6) / points
         peaked = np.diag([np.exp(1j * phi), 0.5j * np.exp(1j * phi)])
-        for t in (complex_gaussian((2, 2), philox(490)), peaked):
+        cases = [complex_gaussian((2, 2), philox(490)), peaked]
+        if points in (4096, 65_537):  # the degenerate 2x2 ranges
+            gauss = complex_gaussian((2, 2), philox(491))
+            cases += [np.array([[0, 1], [0, 0]]),  # a disk centred at 0
+                      np.array([[1, 2j], [2j, 1]]),  # normal: a segment
+                      np.array([[2, 1 - 1j], [1 + 1j, -1]]),  # Hermitian
+                      (1.5 - 0.5j) * np.eye(2), np.diag([1j, -3.0]),
+                      2.0 ** 600 * gauss, 2.0 ** -600 * gauss]
+        for t in cases:
             assert sr.grid_radius(t, points) == self.unpruned(t, points)
 
     def test_radius_matches_coarse_grid_at_n9(self):
